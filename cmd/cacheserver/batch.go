@@ -1,12 +1,12 @@
 package main
 
 // batch.go services POST /v1/batch: an ordered list of clip references
-// submitted as one body and serviced through the pool's RequestBatch, which
-// groups items by owning shard and amortizes engine-lock acquisitions
-// across the group. Per-item semantics mirror the single-clip route — the
-// same statuses, outcomes and modeled latencies an equivalent sequence of
-// GET /v1/clips/{id} calls would have produced — so clients can switch
-// between the forms freely.
+// submitted as one body and serviced through the item core (item.go) as
+// one pool RequestBatch, which groups items by owning shard and amortizes
+// engine-lock acquisitions across the group. Per-item semantics are the
+// single-clip route's — the same statuses, outcomes, peers and modeled
+// latencies an equivalent sequence of GET /v1/clips/{id} calls would have
+// produced — so clients can switch between the forms freely.
 
 import (
 	"encoding/json"
@@ -17,8 +17,6 @@ import (
 	"mediacache/internal/api"
 	"mediacache/internal/fault"
 	"mediacache/internal/media"
-	"mediacache/internal/netsim"
-	"mediacache/internal/shard"
 )
 
 const (
@@ -52,11 +50,10 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := api.BatchResponse{Items: make([]api.BatchItemResult, len(req.Items))}
 	// Pre-screen every item: unknown clips and injected faults resolve
 	// without touching the cache (a faulted transfer fails before the clip
-	// materializes, exactly as on the single-clip route). Survivors become
-	// pool batch items; back maps them to their response slots.
-	items := make([]shard.BatchItem, 0, len(req.Items))
+	// materializes, exactly as on the single-clip route). Survivors go
+	// through the item core; back maps them to their response slots.
+	refs := make([]clipRef, 0, len(req.Items))
 	back := make([]int, 0, len(req.Items))
-	clips := make([]media.Clip, 0, len(req.Items))
 	var stall time.Duration
 	for i := range req.Items {
 		it := &req.Items[i]
@@ -79,88 +76,43 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
-		bi := shard.BatchItem{ID: it.Clip}
+		ref := clipRef{clip: clip}
 		if it.StartBytes != nil || it.LengthBytes != nil {
-			start := int64(0)
+			ref.ranged, ref.rng.length = true, -1
 			if it.StartBytes != nil {
-				start = *it.StartBytes
+				ref.rng.start = media.Bytes(*it.StartBytes)
 			}
-			length := int64(-1)
 			if it.LengthBytes != nil {
-				length = *it.LengthBytes
+				ref.rng.length = media.Bytes(*it.LengthBytes)
 			}
-			if start < 0 || media.Bytes(start) >= clip.Size {
+			if ref.rng.start < 0 || ref.rng.start >= clip.Size {
 				res.Status = http.StatusRequestedRangeNotSatisfiable
-				res.Error = fmt.Sprintf("start %d outside clip of %d bytes", start, clip.Size)
+				res.Error = fmt.Sprintf("start %d outside clip of %d bytes", ref.rng.start, clip.Size)
 				continue
 			}
-			bi.Ranged, bi.Start, bi.Length = true, media.Bytes(start), media.Bytes(length)
 		}
-		items = append(items, bi)
+		refs = append(refs, ref)
 		back = append(back, i)
-		clips = append(clips, clip)
 	}
 	if stall > 0 {
 		time.Sleep(stall)
 	}
 
-	// Ranged items judge prefix residency before the batch mutates it, as
-	// the single-clip route does: a range whose first byte is cached starts
-	// streaming immediately, so its modeled startup latency is zero.
-	startResident := make([]bool, len(items))
-	for k := range items {
-		if !items[k].Ranged {
-			continue
-		}
-		for _, ext := range s.pool.ResidentExtentsOf(items[k].ID) {
-			if ext.Start <= items[k].Start && items[k].Start < ext.Start+ext.Length {
-				startResident[k] = true
-				break
-			}
-		}
-	}
-
-	for k, br := range s.pool.RequestBatch(items) {
+	s.serveRefs(r, refs, true, batchStart)
+	for k := range refs {
+		ref := &refs[k]
 		res := &resp.Items[back[k]]
-		clip := clips[k]
-		if br.Err != nil {
-			res.Status = http.StatusInternalServerError
-			res.Error = br.Err.Error()
+		res.Status = ref.status
+		if ref.err != nil {
+			res.Error = ref.err.Error()
 			continue
 		}
-		res.Status = http.StatusOK
-		res.Outcome = br.Outcome.String()
-		res.Hit = br.Outcome.IsHit()
-		res.SizeBytes = int64(clip.Size)
-		if items[k].Ranged {
-			res.Range = &api.RangeInfo{
-				StartBytes:   int64(br.Range.Start),
-				LengthBytes:  int64(br.Range.Length),
-				BytesHit:     int64(br.Range.BytesHit),
-				BytesFetched: int64(br.Range.BytesFetched),
-				BytesFailed:  int64(br.Range.BytesFailed),
-			}
-			if !(br.Range.Start == 0 && br.Range.Length == clip.Size && res.Hit) {
-				res.Status = http.StatusPartialContent
-			}
-		}
-		if !res.Hit && !(items[k].Ranged && startResident[k]) {
-			lat, err := netsim.StartupLatency(clip, s.alloc, s.admission)
-			if err != nil {
-				res.Status = http.StatusInternalServerError
-				res.Error = err.Error()
-				continue
-			}
-			res.LatencySeconds = float64(lat)
-		}
-		// Log the item as its single-request form would have been; item
-		// transfers proceed concurrently, so each is charged the elapsed
-		// batch time so far.
-		var served *byteRange
-		if items[k].Ranged {
-			served = &byteRange{start: br.Range.Start, length: br.Range.Length}
-		}
-		s.logClip(r, clip, served, res.Outcome, res.Hit, res.Status, res.LatencySeconds, "", batchStart)
+		res.Outcome = ref.res.Outcome.String()
+		res.Hit = ref.res.Outcome.IsHit()
+		res.SizeBytes = int64(ref.clip.Size)
+		res.LatencySeconds = ref.latency
+		res.Range = ref.rangeInfo()
+		res.Peer = ref.peer
 	}
 	resp.Shed = s.shed.saturated() || s.guard.degradedNow()
 	writeJSON(w, resp)

@@ -34,52 +34,88 @@ func postBatch(t *testing.T, url string, req api.BatchRequest) (*http.Response, 
 
 // TestBatchMatchesSingleRoute proves the batch route's per-item results are
 // exactly what the same sequence of single-clip GETs produces on a twin
-// server: same statuses, outcomes, latencies and final stats.
+// server: same statuses, outcomes, latencies, ranges and final stats — on
+// the default server with whole-clip items, and on a segmented, prefix-
+// pinned TTL server with ranged and whole-clip items mixed, where the
+// prefix-aware startup rule and expiry both come into play.
 func TestBatchMatchesSingleRoute(t *testing.T) {
-	_, batchTS := newTestServer(t)
-	_, singleTS := newTestServer(t)
-
-	trace := []media.ClipID{1, 2, 3, 1, 2, 4, 1, 5, 2, 3, 1, 6, 7, 1, 2}
-	const batchLen = 5
-	for off := 0; off < len(trace); off += batchLen {
-		chunk := trace[off : off+batchLen]
-		req := api.BatchRequest{}
-		for _, id := range chunk {
-			req.Items = append(req.Items, api.BatchItem{Clip: id})
-		}
-		resp, out := postBatch(t, batchTS.URL, req)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch status %d", resp.StatusCode)
-		}
-		if len(out.Items) != len(chunk) {
-			t.Fatalf("batch returned %d items, want %d", len(out.Items), len(chunk))
-		}
-		for k, id := range chunk {
-			var single api.Clip
-			sresp := getJSON(t, fmt.Sprintf("%s/v1/clips/%d", singleTS.URL, id), &single)
-			if sresp.StatusCode != http.StatusOK {
-				t.Fatalf("single status %d", sresp.StatusCode)
-			}
-			it := out.Items[k]
-			if it.Clip != id || it.Status != http.StatusOK {
-				t.Fatalf("item %d: clip %d status %d", off+k, it.Clip, it.Status)
-			}
-			if it.Outcome != single.Outcome || it.Hit != single.Hit {
-				t.Fatalf("item %d (clip %d): batch %s/%v, single %s/%v",
-					off+k, id, it.Outcome, it.Hit, single.Outcome, single.Hit)
-			}
-			if it.SizeBytes != single.SizeBytes || it.LatencySeconds != single.LatencySeconds {
-				t.Fatalf("item %d (clip %d): batch size=%d lat=%v, single size=%d lat=%v",
-					off+k, id, it.SizeBytes, it.LatencySeconds, single.SizeBytes, single.LatencySeconds)
-			}
-		}
+	r := func(id media.ClipID, start, length int64) api.BatchItem {
+		return api.BatchItem{Clip: id, StartBytes: &start, LengthBytes: &length}
 	}
+	w := func(id media.ClipID) api.BatchItem { return api.BatchItem{Clip: id} }
+	prefix := int64(512 * media.MB)
+	segTTL := testSegConfig()
+	segTTL.ttl = 12
+	for _, tc := range []struct {
+		name  string
+		cfg   config
+		items []api.BatchItem
+	}{
+		{"default", testConfig(), []api.BatchItem{
+			w(1), w(2), w(3), w(1), w(2), w(4), w(1), w(5), w(2), w(3), w(1), w(6), w(7), w(1), w(2),
+		}},
+		{"segmented-prefix-ttl", segTTL, []api.BatchItem{
+			r(3, 0, prefix), w(3), r(1, 0, prefix), r(1, 0, -1), w(2),
+			r(2, prefix, -1), r(4, 0, 100*int64(media.MB)), w(4), r(3, 0, -1), w(1),
+			r(5, 0, prefix), r(5, 3*prefix/2, prefix), w(5), r(6, 0, prefix), w(3),
+			w(6), r(2, 0, prefix), w(7), r(7, 0, -1), w(1),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, batchTS := newTestServerConfig(t, tc.cfg)
+			_, singleTS := newTestServerConfig(t, tc.cfg)
+			prefixStarts := 0 // misses whose cached prefix started them at once
+			const batchLen = 5
+			for off := 0; off < len(tc.items); off += batchLen {
+				chunk := tc.items[off : off+batchLen]
+				resp, out := postBatch(t, batchTS.URL, api.BatchRequest{Items: chunk})
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("batch status %d", resp.StatusCode)
+				}
+				if len(out.Items) != len(chunk) {
+					t.Fatalf("batch returned %d items, want %d", len(out.Items), len(chunk))
+				}
+				for k, item := range chunk {
+					var hdr string
+					if item.StartBytes != nil {
+						hdr = fmt.Sprintf("bytes=%d-", *item.StartBytes)
+						if n := *item.LengthBytes; n >= 0 {
+							hdr += fmt.Sprint(*item.StartBytes + n - 1)
+						}
+					}
+					var single api.Clip
+					sresp := getRange(t, fmt.Sprintf("%s/v1/clips/%d", singleTS.URL, item.Clip), hdr, nil, &single)
+					it := out.Items[k]
+					if it.Clip != item.Clip || it.Status != sresp.StatusCode {
+						t.Fatalf("item %d: clip %d status %d, single status %d", off+k, it.Clip, it.Status, sresp.StatusCode)
+					}
+					if it.Outcome != single.Outcome || it.Hit != single.Hit {
+						t.Fatalf("item %d (clip %d): batch %s/%v, single %s/%v",
+							off+k, item.Clip, it.Outcome, it.Hit, single.Outcome, single.Hit)
+					}
+					if it.SizeBytes != single.SizeBytes || it.LatencySeconds != single.LatencySeconds {
+						t.Fatalf("item %d (clip %d): batch size=%d lat=%v, single size=%d lat=%v",
+							off+k, item.Clip, it.SizeBytes, it.LatencySeconds, single.SizeBytes, single.LatencySeconds)
+					}
+					if (it.Range == nil) != (single.Range == nil) || it.Range != nil && *it.Range != *single.Range {
+						t.Fatalf("item %d (clip %d): batch range %+v, single %+v", off+k, item.Clip, it.Range, single.Range)
+					}
+					if !it.Hit && it.LatencySeconds == 0 {
+						prefixStarts++
+					}
+				}
+			}
 
-	var bst, sst api.Stats
-	getJSON(t, batchTS.URL+"/v1/stats", &bst)
-	getJSON(t, singleTS.URL+"/v1/stats", &sst)
-	if bst != sst {
-		t.Fatalf("stats diverged:\nbatch  %+v\nsingle %+v", bst, sst)
+			var bst, sst api.Stats
+			getJSON(t, batchTS.URL+"/v1/stats", &bst)
+			getJSON(t, singleTS.URL+"/v1/stats", &sst)
+			if bst != sst {
+				t.Fatalf("stats diverged:\nbatch  %+v\nsingle %+v", bst, sst)
+			}
+			if tc.cfg.segmentSize > 0 && (prefixStarts == 0 || bst.Expired == 0) {
+				t.Fatalf("trace too tame: %d prefix-started misses, %d expiries", prefixStarts, bst.Expired)
+			}
+		})
 	}
 }
 

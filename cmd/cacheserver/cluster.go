@@ -1,8 +1,9 @@
 // cluster.go — the networked cooperative tier (ISSUE 9). With -node-id
 // set, this server joins a consistent-hash ring of cacheservers: on a
-// local miss the clip's ring owners are consulted over hedged peer reads
-// before the origin fetch is booked at origin bandwidth, and three routes
-// are mounted for the sibling nodes:
+// local miss on any clip route (whole-clip or Range GET, batch item) the
+// clip's ring owners are consulted over hedged peer reads before the origin
+// fetch is booked at origin bandwidth, and three routes are mounted for the
+// sibling nodes:
 //
 //	GET /v1/cluster            ring membership, per-peer breaker and digest
 //	                           state, cooperative counters
@@ -15,10 +16,10 @@
 // Peer-serve deliberately does NOT run the clip through this node's cache
 // engine: the serving node's policy and statistics see only its own
 // clients, mirroring internal/coop's device model where a peer read costs
-// the holder nothing. The requesting node always runs its own pool.Request
-// — its counting and byte identities hold whether bytes arrive from a peer
-// or the origin; a peer win only changes which link the startup latency is
-// charged to.
+// the holder nothing. The requesting node always runs the reference
+// through its own pool — its counting and byte identities hold whether
+// bytes arrive from a peer or the origin; a peer win only changes which
+// link the startup latency is charged to.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 	"mediacache/internal/cacheclient"
 	"mediacache/internal/cluster"
 	"mediacache/internal/media"
-	"mediacache/internal/netsim"
 	"mediacache/internal/obs"
 )
 
@@ -167,29 +167,24 @@ func (s *server) handleClusterClip(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// consultPeers asks the clip's ring owners for a locally missed clip.
-// Returns the serving peer's ID when one answered. Called just before the
-// local pool.Request books the miss, so a peer win downgrades the fetch
-// from origin bandwidth to peer-link bandwidth without touching any
-// engine accounting.
-func (s *server) consultPeers(r *http.Request, clip media.Clip) (string, bool) {
+// consultPeers asks the clip's ring owners for a clip this node does not
+// hold in full and returns the serving peer's ID, or "" when none answered
+// (or the node is standalone). The item core calls it for every clip
+// reference — whole, ranged or batched — before the local pool books the
+// reference, so a peer win downgrades a miss from origin bandwidth to
+// peer-link bandwidth without touching any engine accounting.
+func (s *server) consultPeers(r *http.Request, clip media.Clip) string {
 	if s.cluster == nil {
-		return "", false
+		return ""
 	}
 	if s.pool.ResidentBytes(clip.ID) == clip.Size {
 		// Locally fully resident: the request is a local hit; peers have
 		// nothing to add.
-		return "", false
+		return ""
 	}
 	out, ok := s.cluster.Lookup(r.Context(), clip.ID)
 	if !ok {
-		return "", false
+		return ""
 	}
-	return out.Node, true
-}
-
-// peerLatency computes the startup latency of a peer-served miss: same
-// admission model, peer-link bandwidth.
-func (s *server) peerLatency(clip media.Clip) (netsim.Seconds, error) {
-	return netsim.StartupLatency(clip, s.peerAlloc, s.admission)
+	return out.Node
 }

@@ -26,6 +26,7 @@ import (
 	"mediacache/internal/cluster"
 	"mediacache/internal/fault"
 	"mediacache/internal/media"
+	"mediacache/internal/netsim"
 	"mediacache/internal/randutil"
 	"mediacache/internal/zipf"
 )
@@ -517,5 +518,89 @@ func TestClusterPeerServeAndDigest(t *testing.T) {
 	}
 	if cs.PeerServed != 1 {
 		t.Errorf("status PeerServed = %d, want 1", cs.PeerServed)
+	}
+}
+
+// TestClusterRangeAndBatchConsultPeers proves every clip route consults the
+// ring, not only the whole-clip GET: with B holding the clips, A's Range GET
+// and its batch misses (ranged and whole-clip) name B as the serving peer,
+// are charged startup latency at the peer-link bandwidth, and leave A's own
+// ledger identities intact.
+func TestClusterRangeAndBatchConsultPeers(t *testing.T) {
+	a := newChaosNode(t, "a", 61, fault.Profile{}, true)
+	b := newChaosNode(t, "b", 62, fault.Profile{}, true)
+	if err := a.srv.cluster.SetPeers([]cluster.Peer{{ID: "b", URL: b.ts.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.srv.cluster.SetPeers([]cluster.Peer{{ID: "a", URL: a.ts.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	ids := []media.ClipID{1, 2, 3, 4}
+	for _, id := range ids {
+		resp := getJSON(t, fmt.Sprintf("%s/v1/clips/%d", b.ts.URL, id), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming B with clip %d: status %d", id, resp.StatusCode)
+		}
+	}
+	a.srv.cluster.RefreshDigests(context.Background())
+
+	repo := a.srv.pool.Repository()
+	peerLatency := func(id media.ClipID) float64 {
+		t.Helper()
+		lat, err := netsim.StartupLatency(repo.Clip(id), a.srv.peerAlloc, a.srv.admission)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(lat)
+	}
+	type seen struct {
+		id      media.ClipID
+		outcome string
+		peer    string
+		latency float64
+	}
+	var got []seen
+
+	var clip api.Clip
+	resp := getRange(t, fmt.Sprintf("%s/v1/clips/%d", a.ts.URL, ids[0]), "bytes=0-1023", nil, &clip)
+	if resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("Range GET status %d, want 206", resp.StatusCode)
+	}
+	got = append(got, seen{ids[0], clip.Outcome, clip.Peer, clip.LatencySeconds})
+
+	start, length := int64(0), int64(1<<20)
+	_, out := postBatch(t, a.ts.URL, api.BatchRequest{Items: []api.BatchItem{
+		{Clip: ids[1]},
+		{Clip: ids[2], StartBytes: &start, LengthBytes: &length},
+		{Clip: ids[3]},
+	}})
+	for k, it := range out.Items {
+		if it.Status != http.StatusOK && it.Status != http.StatusPartialContent {
+			t.Fatalf("batch item %d: status %d (%s)", k, it.Status, it.Error)
+		}
+		got = append(got, seen{ids[k+1], it.Outcome, it.Peer, it.LatencySeconds})
+	}
+
+	var missCached uint64
+	for _, g := range got {
+		if g.outcome == "hit" {
+			t.Fatalf("clip %d: hit on a cold node", g.id)
+		}
+		if g.outcome == "miss-cached" {
+			missCached++
+		}
+		if g.peer != "b" {
+			t.Errorf("clip %d: peer %q, want \"b\"", g.id, g.peer)
+		}
+		if want := peerLatency(g.id); g.latency != want {
+			t.Errorf("clip %d: latency %v, want %v (peer-link bandwidth)", g.id, g.latency, want)
+		}
+	}
+	assertIdentities(t, a, missCached)
+	if st := a.srv.pool.Stats(); st.Requests != uint64(len(got)) {
+		t.Errorf("A booked %d requests, want %d", st.Requests, len(got))
+	}
+	if c := a.srv.cluster.Counters(); c.PeerHits != uint64(len(got)) {
+		t.Errorf("A's peer hits = %d, want %d", c.PeerHits, len(got))
 	}
 }

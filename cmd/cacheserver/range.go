@@ -5,11 +5,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"mediacache/internal/api"
 	"mediacache/internal/media"
-	"mediacache/internal/netsim"
 )
 
 // byteRange is a parsed, clamped Range request: [start, start+length) within
@@ -139,80 +137,4 @@ func (s *server) handleHeadClip(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(int64(clip.Size), 10))
 	s.setResidentBytesHeader(w, clip.ID)
 	w.WriteHeader(http.StatusOK)
-}
-
-// serveClipRange services a GET /v1/clips/{id} carrying a Range header that
-// parsed to rng: the range's segments are serviced through the pool (missing
-// ones fetch with per-segment coalescing) and the outcome is reported with
-// 206 + Content-Range — or 200 when the range spans the whole clip and every
-// byte was already resident, the fully-resident fast path.
-func (s *server) serveClipRange(w http.ResponseWriter, r *http.Request, clip media.Clip, rng byteRange, start time.Time) {
-	// Prefix residency is judged before the request mutates it: a range
-	// whose first byte is already cached starts streaming immediately, so
-	// the modeled startup latency is zero even when the tail misses.
-	startResident := false
-	for _, ext := range s.pool.ResidentExtentsOf(clip.ID) {
-		if ext.Start <= rng.start && rng.start < ext.Start+ext.Length {
-			startResident = true
-			break
-		}
-	}
-	res, err := s.pool.RequestRange(clip.ID, rng.start, rng.length)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	resp := api.Clip{
-		Clip:      clip.ID,
-		Kind:      clip.Kind.String(),
-		SizeBytes: int64(clip.Size),
-		Outcome:   res.Outcome.String(),
-		Hit:       res.Outcome.IsHit(),
-		Range: &api.RangeInfo{
-			StartBytes:   int64(res.Start),
-			LengthBytes:  int64(res.Length),
-			BytesHit:     int64(res.BytesHit),
-			BytesFetched: int64(res.BytesFetched),
-			BytesFailed:  int64(res.BytesFailed),
-		},
-	}
-	if !res.Outcome.IsHit() && !startResident {
-		lat, lerr := netsim.StartupLatency(clip, s.alloc, s.admission)
-		if lerr != nil {
-			writeError(w, http.StatusInternalServerError, "%v", lerr)
-			return
-		}
-		resp.LatencySeconds = float64(lat)
-	}
-	s.decorateSegmented(&resp, clip)
-	s.decorateTTL(&resp, clip.ID)
-	w.Header().Set("Accept-Ranges", "bytes")
-	s.setResidentBytesHeader(w, clip.ID)
-	// The serviced (clamped) range is what the log records, so traceql's
-	// range-bias fits see the bytes the cache actually handled.
-	served := byteRange{start: res.Start, length: res.Length}
-	if rng.start == 0 && rng.length == clip.Size && res.Outcome.IsHit() {
-		// Fully resident whole-clip range: plain 200, like an unranged GET.
-		s.logClip(r, clip, &served, resp.Outcome, resp.Hit, http.StatusOK, resp.LatencySeconds, "", start)
-		writeJSON(w, resp)
-		return
-	}
-	s.logClip(r, clip, &served, resp.Outcome, resp.Hit, http.StatusPartialContent, resp.LatencySeconds, "", start)
-	w.Header().Set("Content-Range", contentRange(rng, clip.Size))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusPartialContent)
-	writeJSONBody(w, resp)
-}
-
-// decorateSegmented attaches the segment-residency fields to a clip
-// response on segmented pools; a no-op otherwise so unsegmented responses
-// stay byte-identical to pre-segment servers.
-func (s *server) decorateSegmented(resp *api.Clip, clip media.Clip) {
-	info := s.segmentInfo(clip)
-	if info == nil {
-		return
-	}
-	resp.Segments = info
-	resp.BytesResident = int64(s.pool.ResidentBytes(clip.ID))
-	resp.PrefixSegments = s.pool.PrefixSegments()
 }

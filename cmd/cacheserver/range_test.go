@@ -309,6 +309,21 @@ func TestSegmentedPrefixRangeServing(t *testing.T) {
 		t.Fatalf("X-Cache-Resident-Bytes after prefix warm = %q, want %d", rb, prefixBytes)
 	}
 
+	// An unranged GET is the range [0, size): with the prefix of clip 1
+	// warmed the same way, its startup latency is zero too.
+	url1 := ts.URL + "/v1/clips/1"
+	if resp := getRange(t, url1, "bytes=0-"+strconv.FormatInt(prefixBytes-1, 10), nil, nil); resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("clip 1 prefix warm status = %d, want 206", resp.StatusCode)
+	}
+	var whole api.Clip
+	if resp := getRange(t, url1, "", nil, &whole); resp.StatusCode != http.StatusOK {
+		t.Fatalf("unranged prefix-resident GET status = %d, want 200", resp.StatusCode)
+	}
+	if whole.Hit || whole.LatencySeconds != 0 {
+		t.Errorf("unranged prefix-resident GET = hit=%v latency=%v, want a miss with zero latency",
+			whole.Hit, whole.LatencySeconds)
+	}
+
 	// Stream the whole clip from byte 0: the prefix is served from cache,
 	// so the modeled startup latency is zero even though the tail misses.
 	clip = api.Clip{}

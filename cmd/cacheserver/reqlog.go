@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mediacache/internal/api"
-	"mediacache/internal/media"
 )
 
 // reqLogger serializes request-log entries to one NDJSON stream. Tick is a
@@ -50,29 +49,29 @@ func (l *reqLogger) log(e api.RequestLogEntry) {
 	_ = l.enc.Encode(e)
 }
 
-// logClip records one serviced clip reference. rng is nil for whole-clip
-// requests; start is when the handler began servicing, so LatencyMicros is
-// the measured service time (the modeled startup latency travels
-// separately in ModelLatencySeconds).
-func (s *server) logClip(r *http.Request, clip media.Clip, rng *byteRange,
-	outcome string, hit bool, status int, modelLatency float64, peer string, start time.Time) {
+// logClip records one serviced clip reference. start is when the handler
+// began servicing, so LatencyMicros is the measured service time (the
+// modeled startup latency travels separately in ModelLatencySeconds). A
+// ranged reference logs the range the cache actually serviced (clamped to
+// the clip), so traceql's range-bias fits see the bytes handled.
+func (s *server) logClip(r *http.Request, ref *clipRef, start time.Time) {
 	if s.reqlog == nil {
 		return
 	}
 	e := api.RequestLogEntry{
 		Client:              r.Header.Get(api.ClientIDHeader),
-		Clip:                clip.ID,
-		SizeBytes:           int64(clip.Size),
-		Outcome:             outcome,
-		Hit:                 hit,
-		Status:              status,
+		Clip:                ref.clip.ID,
+		SizeBytes:           int64(ref.clip.Size),
+		Outcome:             ref.res.Outcome.String(),
+		Hit:                 ref.res.Outcome.IsHit(),
+		Status:              ref.status,
 		LatencyMicros:       time.Since(start).Microseconds(),
-		ModelLatencySeconds: modelLatency,
-		Peer:                peer,
+		ModelLatencySeconds: ref.latency,
+		Peer:                ref.peer,
 	}
-	if rng != nil {
-		e.StartBytes = int64(rng.start)
-		e.LengthBytes = int64(rng.length)
+	if ref.ranged {
+		e.StartBytes = int64(ref.res.Range.Start)
+		e.LengthBytes = int64(ref.res.Range.Length)
 	}
 	s.reqlog.log(e)
 }

@@ -257,9 +257,10 @@ func writeErrorHeaderless(w http.ResponseWriter, status int, format string, args
 	json.NewEncoder(w).Encode(api.Error{Error: fmt.Sprintf(format, args...)})
 }
 
-// handleClip services GET /v1/clips/{id}, the partial-content clip API. A
-// Range header selects a byte range: valid single ranges are serviced at
-// segment granularity (206 + Content-Range; 200 when the range spans a fully
+// handleClip services GET /v1/clips/{id}, the partial-content clip API,
+// through the item core (item.go). A Range header selects a byte range:
+// valid single ranges are serviced at segment granularity (206 +
+// Content-Range and X-Cache-Resident-Bytes; 200 when the range spans a fully
 // resident clip), unsatisfiable or multi-range requests answer 416 with
 // Content-Range: bytes */size, and malformed or non-bytes ranges are ignored
 // per RFC 9110 (full response, 200). A Range combined with If-Range is also
@@ -279,6 +280,8 @@ func (s *server) handleClip(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "clip %d not in repository", id)
 		return
 	}
+	refs := [1]clipRef{{clip: clip}}
+	ref := &refs[0]
 	if hdr := r.Header.Get("Range"); hdr != "" && r.Header.Get("If-Range") == "" {
 		rng, rerr := parseRange(hdr, clip.Size)
 		if rerr != nil {
@@ -287,54 +290,28 @@ func (s *server) handleClip(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if rng != nil {
-			s.serveClipRange(w, r, clip, *rng, start)
-			return
+			ref.ranged, ref.rng = true, *rng
 		}
-		// Malformed or non-bytes range: fall through to the full response.
+		// A nil range is malformed or non-bytes: serve the full response.
 	}
-	// Clustered nodes consult the clip's ring owners before the local engine
-	// books the miss: the engine's accounting is identical either way, but a
-	// peer win charges startup latency to the peer link, not the origin.
-	peer, peerHit := s.consultPeers(r, clip)
-	out, err := s.pool.Request(clip.ID)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+	s.serveRefs(r, refs[:], false, start)
+	if ref.err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", ref.err)
 		return
 	}
-	resp := api.Clip{
-		Clip:      clip.ID,
-		Kind:      clip.Kind.String(),
-		SizeBytes: int64(clip.Size),
-		Outcome:   out.String(),
-		Hit:       out.IsHit(),
-	}
-	if !out.IsHit() {
-		alloc := s.alloc
-		if peerHit {
-			resp.Peer = peer
-			alloc = s.peerAlloc
-		}
-		lat, err := netsim.StartupLatency(clip, alloc, s.admission)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		resp.LatencySeconds = float64(lat)
-	}
-	s.decorateSegmented(&resp, clip)
-	s.decorateTTL(&resp, clip.ID)
-	s.logClip(r, clip, nil, resp.Outcome, resp.Hit, http.StatusOK, resp.LatencySeconds, resp.Peer, start)
+	resp := s.clipResponse(ref)
 	w.Header().Set("Accept-Ranges", "bytes")
-	writeJSON(w, resp)
-}
-
-// decorateTTL attaches the clip's expiry tick on TTL-enabled servers. A
-// no-op otherwise — and for non-resident clips, whose deadline is zero and
-// therefore omitted — so pre-churn responses stay byte-identical.
-func (s *server) decorateTTL(resp *api.Clip, id media.ClipID) {
-	if s.pool.TTL() > 0 {
-		resp.ExpiresAtTick = int64(s.pool.DeadlineOf(id))
+	if ref.ranged {
+		s.setResidentBytesHeader(w, clip.ID)
 	}
+	if ref.status != http.StatusPartialContent {
+		writeJSON(w, resp)
+		return
+	}
+	w.Header().Set("Content-Range", contentRange(ref.rng, clip.Size))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusPartialContent)
+	writeJSONBody(w, resp)
 }
 
 // handleDeleteClip services DELETE /v1/clips/{id}: drop the clip's cached

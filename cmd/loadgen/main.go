@@ -355,7 +355,6 @@ func openLoop(tgt target, opt options, rateHz float64, n int, pl *plan) (point, 
 	samples := make([]sample, arrivals)
 	slots := make(chan struct{}, opt.maxOut)
 	var wg sync.WaitGroup
-	shedArrivals := 0
 	start := time.Now()
 	for i := 0; i < arrivals; i++ {
 		scheduled := arrivalAt(start, i)
@@ -365,7 +364,6 @@ func openLoop(tgt target, opt options, rateHz float64, n int, pl *plan) (point, 
 		select {
 		case slots <- struct{}{}:
 		default:
-			shedArrivals++
 			samples[i].outcomes = nil
 			continue
 		}
@@ -419,7 +417,6 @@ func openLoop(tgt target, opt options, rateHz float64, n int, pl *plan) (point, 
 			}
 		}
 	}
-	_ = shedArrivals
 	if opt.reqlog != nil {
 		// The log is written after the point completes, in arrival order, so
 		// ticks in the file are strictly increasing. Generator-side sheds

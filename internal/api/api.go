@@ -96,6 +96,9 @@ type BatchItemResult struct {
 	LatencySeconds float64      `json:"latencySeconds,omitempty"`
 	Range          *RangeInfo   `json:"range,omitempty"`
 	Error          string       `json:"error,omitempty"`
+	// Peer is the cluster node that serviced this miss over the peer link,
+	// as on api.Clip; absent on standalone servers and for hits.
+	Peer string `json:"peer,omitempty"`
 }
 
 // BatchResponse is the response of POST /v1/batch. Shed reports that the

@@ -16,7 +16,7 @@ var wireFields = map[string][]string{
 	"RangeInfo":       {"startBytes", "lengthBytes", "bytesHit", "bytesFetched", "bytesFailed"},
 	"BatchItem":       {"clip", "startBytes", "lengthBytes"},
 	"BatchRequest":    {"items"},
-	"BatchItemResult": {"clip", "status", "outcome", "hit", "sizeBytes", "latencySeconds", "range", "error"},
+	"BatchItemResult": {"clip", "status", "outcome", "hit", "sizeBytes", "latencySeconds", "range", "error", "peer"},
 	"BatchResponse":   {"items", "shed"},
 	"Stats":           {"policy", "shards", "requests", "hits", "hitRate", "byteHitRate", "evictions", "bytesFetched", "bytesFailed", "degradedMisses", "residentClips", "usedBytes", "capacityBytes", "bypassedMisses", "victimCalls", "note", "segmentSizeBytes", "prefixSegments", "residentSegments", "partialHits", "segmentsFetched", "segmentsEvicted", "ttlTicks", "invalidated", "expired", "bytesInvalidated"},
 	"RequestLogEntry": {"tick", "wallMicros", "client", "clip", "sizeBytes", "startBytes", "lengthBytes", "policy", "outcome", "hit", "status", "latencyMicros", "modelLatencySeconds", "peer"},

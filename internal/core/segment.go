@@ -265,6 +265,11 @@ type RangeResult struct {
 	BytesFetched media.Bytes
 	// BytesFailed is the portion whose segment fetches failed.
 	BytesFailed media.Bytes
+	// FirstByteHit reports that the range's first byte was served from
+	// cache: its segment (on a whole-clip cache, the clip) was resident
+	// when the request was serviced, so delivery starts without waiting
+	// on the link even when later segments miss.
+	FirstByteHit bool
 }
 
 // RequestRange services a reference to bytes [start, start+length) of clip
@@ -298,6 +303,7 @@ func (c *Cache) RequestRange(id media.ClipID, start, length media.Bytes) (RangeR
 		switch out {
 		case Hit:
 			res.BytesHit = length
+			res.FirstByteHit = true
 		case MissDegraded:
 			res.BytesFailed = length
 		default:
@@ -344,8 +350,10 @@ func (c *Cache) requestRangeSegmented(clip media.Clip, start, length media.Bytes
 		c.emitB(EventHit, clip, touched, now)
 		res.Outcome = Hit
 		res.BytesHit = touched
+		res.FirstByteHit = true
 		return res, nil
 	}
+	res.FirstByteHit = missing[0] != s0
 
 	var missingBytes media.Bytes
 	for _, i := range missing {

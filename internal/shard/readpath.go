@@ -26,6 +26,7 @@ package shard
 
 import (
 	"mediacache/internal/media"
+	"mediacache/internal/vtime"
 )
 
 // touchBatchSize is the drain threshold for the pending-touch buffer. Large
@@ -34,35 +35,50 @@ import (
 // hit-heavy shard.
 const touchBatchSize = 256
 
-// recordTouch enqueues one fast-path hit and drains the buffer when it
-// reaches the batch threshold.
-func (p *Pool) recordTouch(s *poolShard, id media.ClipID) {
-	p.fastHits.Add(1)
-	s.touchMu.Lock()
-	s.pending.Add(1)
-	s.touches = append(s.touches, id)
-	if len(s.touches) < touchBatchSize {
-		s.touchMu.Unlock()
-		return
+// fastHitsOK reports whether the lock-free hit path may serve every item
+// of a shard group from the published residency view: each must be a
+// whole-clip reference to a clip the view holds. Without TTL, published
+// residency is enough. With TTL the touch a hit enqueues will replay at
+// some future engine tick, which must not exceed the clip's deadline; item
+// k's replay tick is estimated as the mirror's published clock plus every
+// touch already pending plus the k touches the group enqueues before it
+// plus one. Under serial driving the estimate is exact, so a 1-shard pool
+// with TTL stays byte-identical to the bare engine. Under concurrent
+// driving it can be off in either direction by in-flight touches — an
+// overestimate falls through to the engine path (correct, just slower), an
+// underestimate serves a hit the replay then counts under ApplyHit's
+// hit-unconditionally contract — the same staleness class as the mirror's
+// residency answers (DESIGN.md §15).
+func (p *Pool) fastHitsOK(s *poolShard, items []BatchItem) bool {
+	for k := range items {
+		it := &items[k]
+		if it.Ranged {
+			return false
+		}
+		if p.ttl == 0 {
+			if !s.mirror.Resident(it.ID) {
+				return false
+			}
+			continue
+		}
+		dl, ok := s.mirror.Deadline(it.ID)
+		if !ok || dl != 0 && s.mirror.Clock()+vtime.Time(s.pending.Load()+int64(k)+1) > dl {
+			return false
+		}
 	}
-	batch := s.touches
-	s.touches = s.touchSpare[:0]
-	s.touchSpare = nil
-	s.touchMu.Unlock()
-
-	s.mu.Lock()
-	p.applyTouches(s, batch)
-	s.mu.Unlock()
-	p.recycleTouchBuf(s, batch)
+	return true
 }
 
-// recordTouchSlice enqueues a batch of fast-path hits under one buffer-lock
-// acquisition, draining at most once.
-func (p *Pool) recordTouchSlice(s *poolShard, ids []media.ClipID) {
-	p.fastHits.Add(uint64(len(ids)))
+// recordTouches enqueues a group of fast-path hits under one buffer-lock
+// acquisition and drains the buffer, at most once, when it reaches the
+// batch threshold.
+func (p *Pool) recordTouches(s *poolShard, items []BatchItem) {
+	p.fastHits.Add(uint64(len(items)))
 	s.touchMu.Lock()
-	s.pending.Add(int64(len(ids)))
-	s.touches = append(s.touches, ids...)
+	s.pending.Add(int64(len(items)))
+	for i := range items {
+		s.touches = append(s.touches, items[i].ID)
+	}
 	if len(s.touches) < touchBatchSize {
 		s.touchMu.Unlock()
 		return

@@ -277,26 +277,139 @@ func TestSegmentedPoolSnapshotRestore(t *testing.T) {
 
 // TestSegmentedPoolWholeClipFetchFallback checks a segmented pool built with
 // only the whole-clip Fetch hook still fetches per missing segment through
-// the adapter (one link consultation per segment).
+// the adapter (one link consultation per segment), for the ranged form and
+// for a whole-clip Request, and that every consultation is one logical
+// fetch.
 func TestSegmentedPoolWholeClipFetchFallback(t *testing.T) {
 	repo := media.PaperRepository()
-	var calls atomic.Uint64
-	fetch := func(media.Clip, vtime.Time) error { calls.Add(1); return nil }
+	for _, tc := range []struct {
+		name string
+		segs uint64 // cold segments the request touches
+		call func(*Pool) (core.Outcome, error)
+	}{
+		{"RequestRange", 4, func(p *Pool) (core.Outcome, error) {
+			res, err := p.RequestRange(3, 0, media.GB) // 1.8 GB clip: 4 cold segments
+			return res.Outcome, err
+		}},
+		{"Request", 8, func(p *Pool) (core.Outcome, error) {
+			return p.Request(3) // the whole 1.8 GB clip: 8 cold segments
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Uint64
+			fetch := func(media.Clip, vtime.Time) error { calls.Add(1); return nil }
+			pool, err := New(Config{
+				Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
+				Seed: 7, Shards: 2, SegmentSize: testSegSize, Fetch: fetch,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := tc.call(pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != core.MissCached {
+				t.Fatalf("outcome = %v", out)
+			}
+			if calls.Load() != tc.segs {
+				t.Errorf("link consulted %d times, want %d (one per segment)", calls.Load(), tc.segs)
+			}
+			if got := pool.Fetches(); got != tc.segs {
+				t.Errorf("logical fetches = %d, want %d", got, tc.segs)
+			}
+		})
+	}
+}
+
+// TestSegmentedWholeClipFetchOutsideLock pins the segmented whole-clip miss
+// of a pool wired with only SegmentFetch (loadgen's -ranges wiring): its
+// segment fetches run outside the shard lock, so a request for another clip
+// on the same single shard completes while they are parked, and concurrent
+// whole-clip misses share one flight per segment.
+func TestSegmentedWholeClipFetchOutsideLock(t *testing.T) {
+	repo := media.PaperRepository()
+	const G = 4
+	clip := repo.Clip(3) // 1.8 GB: 8 segments of 256 MB
+	segs := int((clip.Size + testSegSize - 1) / testSegSize)
+
+	gate := make(chan struct{})
+	var perSeg [16]atomic.Uint64
+	fetch := func(c media.Clip, seg int32, _ vtime.Time) error {
+		if c.ID == clip.ID {
+			perSeg[seg].Add(1)
+			<-gate
+		}
+		return nil
+	}
 	pool, err := New(Config{
-		Policy: "greedydual", Repo: repo, Capacity: repo.TotalSize(),
-		Seed: 7, Shards: 2, SegmentSize: testSegSize, Fetch: fetch,
+		Policy: "greedydual", Repo: repo, Capacity: repo.CacheSizeForRatio(0.5),
+		Seed: 7, Shards: 1, SegmentSize: testSegSize, SegmentFetch: fetch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.RequestRange(3, 0, media.GB) // 1.8 GB clip: 4 cold segments
-	if err != nil {
-		t.Fatal(err)
+
+	var (
+		wg     sync.WaitGroup
+		misses atomic.Uint64
+	)
+	wg.Add(G)
+	for g := 0; g < G; g++ {
+		go func() {
+			defer wg.Done()
+			out, err := pool.Request(clip.ID)
+			switch {
+			case err != nil:
+				t.Errorf("Request(%d): %v", clip.ID, err)
+			case out == core.MissCached:
+				misses.Add(1)
+			case out != core.Hit:
+				t.Errorf("Request(%d) = %v, want a miss or a hit", clip.ID, out)
+			}
+		}()
 	}
-	if res.Outcome != core.MissCached {
-		t.Fatalf("outcome = %v", res.Outcome)
+	// Every segment's leader is parked on the gate once the other G-1
+	// requests have joined each of the clip's flights.
+	wantJoins := uint64((G - 1) * segs)
+	deadline := time.Now().Add(5 * time.Second)
+	for pool.Coalesced() < wantJoins {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("coalesced %d after 5s, want %d", pool.Coalesced(), wantJoins)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if calls.Load() != 4 {
-		t.Errorf("link consulted %d times, want 4 (one per segment)", calls.Load())
+
+	other := make(chan error, 1)
+	go func() {
+		_, err := pool.RequestRange(1, 0, media.MB)
+		other <- err
+	}()
+	select {
+	case err := <-other:
+		if err != nil {
+			t.Errorf("RequestRange(1): %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a request for another clip stayed blocked behind parked segment fetches")
+	}
+	close(gate)
+	wg.Wait()
+
+	// The first request to apply caches the clip; the rest find it resident.
+	if got := misses.Load(); got != 1 {
+		t.Errorf("%d of %d requests missed, want 1", got, G)
+	}
+	for seg := 0; seg < segs; seg++ {
+		if n := perSeg[seg].Load(); n != 1 {
+			t.Errorf("segment %d fetched %d times, want 1", seg, n)
+		}
+	}
+	if got := pool.Fetches(); got != uint64(segs+1) {
+		t.Errorf("logical fetches = %d, want %d (%d segments + the other clip's)", got, segs+1, segs)
+	}
+	if got := pool.ResidentBytes(clip.ID); got != clip.Size {
+		t.Errorf("resident bytes = %v, want %v", got, clip.Size)
 	}
 }

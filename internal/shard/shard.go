@@ -89,19 +89,15 @@ type Config struct {
 	ShardOptions func(shard int) []core.Option
 }
 
-// poolShard is one partition: an engine, its lock, and the slots where
-// coalesced fetch results are handed to the engine's fetch hooks.
+// poolShard is one partition: an engine, its lock, and the staging slot
+// where coalesced fetch results are handed to the engine's fetch hook.
 type poolShard struct {
 	mu    sync.Mutex
 	cache *core.Cache
-	// pre carries the outcome of an already-performed coalesced fetch into
-	// the engine's fetch hook during the next Request call. Guarded by mu
-	// and cleared before the lock is released.
-	pre preFetch
-	// preSegs carries per-segment coalesced fetch results into the engine's
-	// segment fetch hook during the next RequestRange call. Guarded by mu
-	// and cleared before the lock is released.
-	preSegs preSegFetch
+	// staged carries the settled flights of the group being applied into
+	// the engine's fetch hook (stagedFetch), keyed like the flights
+	// themselves. Guarded by mu and empty whenever mu is released.
+	staged map[flightKey]error
 	// missBuf is the shard's reusable probe buffer for missing-segment
 	// scans under mu.
 	missBuf []int32
@@ -127,21 +123,6 @@ type poolShard struct {
 	// reads it to bound how far the engine clock can be ahead of the
 	// mirror's published tick.
 	pending atomic.Int64
-}
-
-// preFetch is a pre-resolved fetch result.
-type preFetch struct {
-	id  media.ClipID
-	err error
-	ok  bool
-}
-
-// preSegFetch is a batch of pre-resolved per-segment fetch results for one
-// clip.
-type preSegFetch struct {
-	id   media.ClipID
-	errs map[int32]error
-	ok   bool
 }
 
 // Pool routes requests across hash-partitioned cache shards. All methods
@@ -235,7 +216,7 @@ func New(cfg Config) (*Pool, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &poolShard{}
+		s := &poolShard{staged: make(map[flightKey]error)}
 		opts := []core.Option{}
 		if cfg.ShardOptions != nil {
 			opts = append(opts, cfg.ShardOptions(i)...)
@@ -256,9 +237,13 @@ func New(cfg Config) (*Pool, error) {
 		}
 		switch {
 		case p.segFetch != nil:
-			opts = append(opts, core.WithSegmentFetch(p.shardSegFetch(s)))
-		case cfg.Fetch != nil:
-			opts = append(opts, core.WithFetch(p.shardFetch(s)))
+			opts = append(opts, core.WithSegmentFetch(func(clip media.Clip, seg int32, now vtime.Time) error {
+				return p.stagedFetch(s, clip, seg, now)
+			}))
+		case p.fetch != nil:
+			opts = append(opts, core.WithFetch(func(clip media.Clip, now vtime.Time) error {
+				return p.stagedFetch(s, clip, wholeClip, now)
+			}))
 		}
 		cache, err := core.New(cfg.Repo, capacity, pol, opts...)
 		if err != nil {
@@ -268,62 +253,6 @@ func New(cfg Config) (*Pool, error) {
 		p.shards[i] = s
 	}
 	return p, nil
-}
-
-// shardFetch builds the engine fetch hook for one shard: it consumes a
-// pre-resolved coalesced result when Request staged one, and falls through
-// to the configured fetch otherwise (e.g. a Warm-triggered code path that
-// never staged a flight).
-func (p *Pool) shardFetch(s *poolShard) core.FetchFunc {
-	return func(clip media.Clip, now vtime.Time) error {
-		if s.pre.ok && s.pre.id == clip.ID {
-			err := s.pre.err
-			s.pre = preFetch{}
-			return err
-		}
-		return p.fetch(clip, now)
-	}
-}
-
-// shardSegFetch builds the engine's per-segment fetch hook for one shard: it
-// consumes the pre-resolved coalesced result RequestRange staged for that
-// segment, and falls through to a direct fetch for segments the engine asks
-// for that were not staged (a segment evicted between the probe and the
-// request, or a whole-clip Request on a segmented cache).
-func (p *Pool) shardSegFetch(s *poolShard) core.SegmentFetchFunc {
-	return func(clip media.Clip, seg int32, now vtime.Time) error {
-		if s.preSegs.ok && s.preSegs.id == clip.ID {
-			if err, staged := s.preSegs.errs[seg]; staged {
-				delete(s.preSegs.errs, seg)
-				return err
-			}
-		}
-		return p.segFetch(clip, seg, now)
-	}
-}
-
-// fastHitOK reports whether the lock-free hit path may serve clip id from
-// shard s's published residency view. Without TTL, published residency is
-// enough. With TTL the touch this hit enqueues will replay at some future
-// engine tick, which must not exceed the clip's deadline; the replay tick
-// is estimated as the mirror's published clock plus every touch already
-// pending plus the `ahead` touches this caller enqueues first plus one.
-// Under serial driving the estimate is exact, so a 1-shard pool with TTL
-// stays byte-identical to the bare engine. Under concurrent driving it can
-// be off in either direction by in-flight touches — an overestimate falls
-// through to the engine path (correct, just slower), an underestimate
-// serves a hit the replay then counts under ApplyHit's
-// hit-unconditionally contract — the same staleness class as the mirror's
-// residency answers (DESIGN.md §15).
-func (p *Pool) fastHitOK(s *poolShard, id media.ClipID, ahead int64) bool {
-	if p.ttl == 0 {
-		return s.mirror.Resident(id)
-	}
-	dl, ok := s.mirror.Deadline(id)
-	if !ok {
-		return false
-	}
-	return dl == 0 || s.mirror.Clock()+vtime.Time(s.pending.Load()+ahead+1) <= dl
 }
 
 // Invalidate drops clip id from the owning shard — the pool face of
@@ -409,139 +338,6 @@ func (p *Pool) Fetches() uint64 { return p.fetches.Load() }
 // Coalesced returns how many requests joined an already in-flight fetch
 // instead of starting their own.
 func (p *Pool) Coalesced() uint64 { return p.flight.coalesced.Load() }
-
-// Request services a reference to clip id on the owning shard and returns
-// the outcome, exactly as core.Cache.Request does on an unsharded cache.
-//
-// Without a fetch hook the request runs entirely under the shard lock.
-// With one, a miss releases the lock for the duration of the (possibly
-// shared) fetch so slow fetches never serialize the shard, then re-locks
-// and hands the result to the engine. A clip that became resident while
-// the fetch was in flight is simply a hit — the fetched bytes are the same
-// bytes a waiter would have received.
-func (p *Pool) Request(id media.ClipID) (core.Outcome, error) {
-	s := p.shards[p.ShardFor(id)]
-	// Read-mostly fast path: a clip in the shard's published residency view
-	// is a hit. The bytes stream without the engine lock; only the policy
-	// touch is enqueued, to be replayed in a batch under one acquisition.
-	if p.fastPath && p.fastHitOK(s, id, 0) {
-		p.recordTouch(s, id)
-		return core.Hit, nil
-	}
-	if p.fetch == nil {
-		p.lockDrained(s)
-		defer s.mu.Unlock()
-		return s.cache.Request(id)
-	}
-	p.lockDrained(s)
-	clip, known := p.repo.Lookup(id)
-	// Requests that cannot reach the engine's fetch path — hits, unknown
-	// clips, and clips the shard could never admit — run under the lock
-	// without staging a flight.
-	if !known || s.cache.Resident(id) || clip.Size > s.cache.Capacity() {
-		out, err := s.cache.Request(id)
-		s.mu.Unlock()
-		return out, err
-	}
-	// The engine stamps the fetch with the request's tick; the best
-	// estimate before re-locking is the next tick of this shard's clock.
-	now := s.cache.Now() + 1
-	s.mu.Unlock()
-
-	ferr := p.flight.do(flightKey{id: id, seg: wholeClip}, func() error {
-		p.fetches.Add(1)
-		return p.fetch(clip, now)
-	})
-
-	p.lockDrained(s)
-	s.pre = preFetch{id: id, err: ferr, ok: true}
-	out, err := s.cache.Request(id)
-	s.pre = preFetch{}
-	s.mu.Unlock()
-	return out, err
-}
-
-// RequestRange services a reference to bytes [start, start+length) of clip
-// id on the owning shard, exactly as core.Cache.RequestRange does on an
-// unsharded cache. A negative length means "to the end of the clip".
-//
-// On a segmented pool with a fetch hook, the missing segments of the range
-// are probed under the shard lock, fetched outside it — one singleflight per
-// (clip, segment), so concurrent requests for overlapping ranges share the
-// transfer of every segment they both miss while disjoint ranges proceed in
-// parallel — and the results are handed to the engine under the lock.
-func (p *Pool) RequestRange(id media.ClipID, start, length media.Bytes) (core.RangeResult, error) {
-	s := p.shards[p.ShardFor(id)]
-	if p.segFetch == nil || p.segSize == 0 {
-		// No per-segment fetching: the engine resolves the range entirely
-		// under the lock (unsegmented pools delegate to Request inside).
-		p.lockDrained(s)
-		defer s.mu.Unlock()
-		return s.cache.RequestRange(id, start, length)
-	}
-	s.mu.Lock()
-	clip, known := p.repo.Lookup(id)
-	if !known || start < 0 || start >= clip.Size || clip.Size > s.cache.Capacity() {
-		// Errors and too-large clips never reach the engine's fetch path.
-		res, err := s.cache.RequestRange(id, start, length)
-		s.mu.Unlock()
-		return res, err
-	}
-	if length < 0 || start+length > clip.Size {
-		length = clip.Size - start
-	}
-	s0 := int32(start / p.segSize)
-	s1 := int32((start + length - 1) / p.segSize)
-	s.missBuf = s.cache.AppendMissingSegments(s.missBuf[:0], id, s0, s1)
-	if len(s.missBuf) == 0 {
-		// Fully resident range: a pure hit under the lock.
-		res, err := s.cache.RequestRange(id, start, length)
-		s.mu.Unlock()
-		return res, err
-	}
-	missing := append([]int32(nil), s.missBuf...)
-	// The engine stamps the fetches with the request's tick; the best
-	// estimate before re-locking is the next tick of this shard's clock.
-	now := s.cache.Now() + 1
-	s.mu.Unlock()
-
-	errs := make(map[int32]error, len(missing))
-	if len(missing) == 1 {
-		seg := missing[0]
-		errs[seg] = p.flight.do(flightKey{id: id, seg: seg}, func() error {
-			p.fetches.Add(1)
-			return p.segFetch(clip, seg, now)
-		})
-	} else {
-		// Fetch the range's missing segments concurrently; each joins or
-		// leads its own flight.
-		var (
-			wg sync.WaitGroup
-			mu sync.Mutex
-		)
-		wg.Add(len(missing))
-		for _, seg := range missing {
-			go func(seg int32) {
-				defer wg.Done()
-				err := p.flight.do(flightKey{id: id, seg: seg}, func() error {
-					p.fetches.Add(1)
-					return p.segFetch(clip, seg, now)
-				})
-				mu.Lock()
-				errs[seg] = err
-				mu.Unlock()
-			}(seg)
-		}
-		wg.Wait()
-	}
-
-	s.mu.Lock()
-	s.preSegs = preSegFetch{id: id, errs: errs, ok: true}
-	res, err := s.cache.RequestRange(id, start, length)
-	s.preSegs = preSegFetch{}
-	s.mu.Unlock()
-	return res, err
-}
 
 // Stats returns the pool-wide statistics: every shard's counters summed
 // under a consistent snapshot (all shard locks are held while reading, in

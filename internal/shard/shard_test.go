@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -535,5 +536,40 @@ func TestFlightSequentialNotShared(t *testing.T) {
 	}
 	if g.coalesced.Load() != 0 {
 		t.Fatalf("sequential do coalesced %d times", g.coalesced.Load())
+	}
+}
+
+// TestFlightRecycledCallsKeepResults drives bursts of coalesced callers
+// through one key. Settled calls are recycled across bursts, so every
+// caller must still see its own burst's result, never a neighbour's.
+func TestFlightRecycledCallsKeepResults(t *testing.T) {
+	var g flightGroup
+	g.init()
+	key := flightKey{id: 1, seg: wholeClip}
+	const callers = 4
+	for burst := 0; burst < 5; burst++ {
+		want := fmt.Errorf("burst %d", burst)
+		joined := g.coalesced.Load() + callers - 1
+		started, gate := make(chan struct{}), make(chan struct{})
+		errs := make(chan error, callers)
+		go func() {
+			errs <- g.do(key, func() error { close(started); <-gate; return want })
+		}()
+		<-started
+		for i := 1; i < callers; i++ {
+			go func() { errs <- g.do(key, func() error { return errors.New("joiner led a flight") }) }()
+		}
+		for g.coalesced.Load() < joined {
+			time.Sleep(time.Millisecond)
+		}
+		close(gate)
+		for i := 0; i < callers; i++ {
+			if err := <-errs; err != want {
+				t.Fatalf("burst %d: caller got %v, want %v", burst, err, want)
+			}
+		}
+	}
+	if len(g.free) != 1 {
+		t.Errorf("free list holds %d calls after serial bursts, want 1", len(g.free))
 	}
 }
