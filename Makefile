@@ -30,9 +30,10 @@ racecheck:
 # alloccheck asserts the allocation guarantees: with no observer installed,
 # core.Cache.Request allocates nothing on the request path (an attached
 # observer adds none either), in an eviction-heavy steady state the
-# indexed victim-selection paths allocate nothing per Victims call, and the
-# shard pool's published-view hit allocates nothing while its Request,
-# RequestRange and one-item RequestBatch stay within fixed per-call budgets.
+# indexed victim-selection paths and IGD's slot scan allocate nothing per
+# Victims call, and the shard pool's published-view hit allocates nothing
+# while its Request, RequestRange and one-item RequestBatch stay within
+# fixed per-call budgets.
 alloccheck:
 	$(GO) test -run 'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState' -count=1 ./internal/core
 	$(GO) test -run 'TestPoolRequestAllocs' -count=1 ./internal/shard

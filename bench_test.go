@@ -375,47 +375,39 @@ func BenchmarkEvictionHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkIGDSelection compares the O(n)-scan IGD with the branch-and-
-// bound indexed implementation on a large synthetic repository.
+// BenchmarkIGDSelection measures IGD's production victim path, the flat
+// slot scan, on the eviction-heavy shape: 20,004 clips at a 5% cache under
+// the standard Zipf workload. The 30,000-reference warm-up grows the
+// resident set (reported as residents, ~3,300) to about its size in the
+// evict_heavy benchmark workload's timed window.
 func BenchmarkIGDSelection(b *testing.B) {
 	const nClips = 20004
 	repo, err := media.VariableRepository(nClips)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dist := zipf.MustNew(repo.N(), zipf.DefaultMean)
-	run := func(b *testing.B, p core.Policy) {
-		cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), p)
-		if err != nil {
+	p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.MustNewGenerator(zipf.MustNew(repo.N(), zipf.DefaultMean), sim.DefaultSeed)
+	for i := 0; i < 30000; i++ {
+		if _, err := cache.Request(gen.Next()); err != nil {
 			b.Fatal(err)
-		}
-		gen := workload.MustNewGenerator(dist, sim.DefaultSeed)
-		for i := 0; i < 3000; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cache.Request(gen.Next()); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
-	b.Run("scan", func(b *testing.B) {
-		p, err := igd.New(repo.N(), 2, sim.DefaultSeed)
-		if err != nil {
+	residents := cache.NumResident()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cache.Request(gen.Next()); err != nil {
 			b.Fatal(err)
 		}
-		run(b, p)
-	})
-	b.Run("indexed", func(b *testing.B) {
-		p, err := igd.New(repo.N(), 2, sim.DefaultSeed, igd.Indexed())
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, p)
-	})
+	}
+	b.ReportMetric(float64(residents), "residents")
 }
 
 // BenchmarkBlockRequest measures block-grained request cost at several

@@ -4,8 +4,9 @@ package core_test
 // steady state (cache warm, evictions ongoing) the indexed victim-selection
 // paths must not allocate per Victims call. The policies measured here are
 // the walk-only selectors whose Victims has no side effects beyond reusable
-// buffers; the pop-based selectors (LRU-SK, DYNSimple) mutate their indexes
-// per call and are covered by the differential and property suites instead.
+// buffers (IGD's also raises its inflation, which allocates nothing); the
+// pop-based selectors (LRU-SK, DYNSimple) mutate their indexes per call and
+// are covered by the differential and property suites instead.
 // `make alloccheck` runs this file alongside the request-path gates.
 
 import (
@@ -16,6 +17,7 @@ import (
 	"mediacache/internal/policy/gdfreq"
 	"mediacache/internal/policy/gdsp"
 	"mediacache/internal/policy/greedydual"
+	"mediacache/internal/policy/igd"
 	"mediacache/internal/policy/lfu"
 	"mediacache/internal/policy/lruk"
 	"mediacache/internal/policy/random"
@@ -73,6 +75,7 @@ func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 		lfu.NewDA(),
 		simple.MustNew(uniform),
 		random.New(42),
+		igd.MustNew(media.PaperRepository().N(), 2, 42),
 	}
 	for _, p := range policies {
 		p := p

@@ -18,13 +18,18 @@
 //
 // Because priorities drift with time, victim selection scans the resident
 // set (O(n), n = resident clips; the paper's Section 5 leaves tree-based
-// structures as future work). The global inflation L rises to each evicted
-// priority exactly as in GreedyDual.
+// structures as future work). The scan runs over packed per-resident slots
+// holding every input of the score, so it is one sequential pass over a
+// contiguous array. An ordered index cannot prune it: every base L(x) is at
+// most the inflation L, and the winning score is usually at least L, so a
+// branch-and-bound walk in base order visits nearly every resident anyway.
+// The global inflation L rises to each evicted priority exactly as in
+// GreedyDual.
 package igd
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"mediacache/internal/core"
 	"mediacache/internal/history"
@@ -37,6 +42,36 @@ import (
 // tracker depth as DYNSimple's default).
 const DefaultK = 2
 
+// slot holds one resident clip's score inputs.
+type slot struct {
+	id   media.ClipID
+	nref uint64
+	base float64
+	// size is the byte count the score divides by: the resident byte total
+	// of a partially resident clip under a segment-granular cache
+	// (core.SegmentAware), the full clip size otherwise.
+	size float64
+	// kth is t_K(x), the K-th most recent reference time, valid when hasKth
+	// is set; Record refreshes it after every reference.
+	kth    vtime.Time
+	hasKth bool
+	// frozen is the touch-time priority of the FrozenAging ablation.
+	frozen float64
+}
+
+// score returns the slot's priority L(x) + nref(x)/(Δ_K(x,now)·size(x)).
+// Without K references Δ is infinite and the score is the base alone.
+func (s *slot) score(now vtime.Time) float64 {
+	if !s.hasKth {
+		return s.base
+	}
+	delta := float64(now - s.kth)
+	if delta <= 0 {
+		delta = 1 // the K-th reference happened this tick; clamp to one tick
+	}
+	return s.base + float64(s.nref)/(delta*s.size)
+}
+
 // Policy is the IGD technique. It implements core.Policy.
 type Policy struct {
 	k    int
@@ -47,22 +82,17 @@ type Policy struct {
 	src     *randutil.Source
 
 	inflation float64
-	baseL     map[media.ClipID]float64
-	nref      map[media.ClipID]uint64
-	// eff overrides a clip's size with its resident byte total for partially
-	// resident clips under segment-granular caches (core.SegmentAware). The
-	// base-inflation index needs no rekey: L(x) stays a lower bound on the
-	// score whatever the size term, so branch-and-bound pruning is unchanged.
-	eff map[media.ClipID]media.Bytes
+	// slots packs the resident clips in no particular order; pos[id] is the
+	// index of clip id's slot, or -1 when it has none.
+	slots []slot
+	pos   []int32
 
 	// freezeAging disables selection-time Δ evaluation and freezes the
 	// priority at touch time instead — the BenchmarkIGDAging ablation.
 	freezeAging bool
-	frozen      map[media.ClipID]float64
 
-	// idx, when non-nil, holds the ordered base-inflation index enabling
-	// branch-and-bound victim selection (see indexed.go).
-	idx *index
+	ties []media.ClipID // Victims' reusable tie buffer
+	out  []media.ClipID // Victims' reusable result
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -85,20 +115,11 @@ func New(n, k int, seed uint64, opts ...Option) (*Policy, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("igd: K must be positive, got %d", k)
 	}
-	p := &Policy{
-		k:       k,
-		n:       n,
-		seed:    seed,
-		tracker: history.NewTracker(n, k),
-		src:     randutil.NewSource(seed),
-		baseL:   make(map[media.ClipID]float64),
-		nref:    make(map[media.ClipID]uint64),
-		eff:     make(map[media.ClipID]media.Bytes),
-		frozen:  make(map[media.ClipID]float64),
-	}
+	p := &Policy{k: k, n: n, seed: seed}
 	for _, o := range opts {
 		o(p)
 	}
+	p.Reset()
 	return p, nil
 }
 
@@ -113,14 +134,10 @@ func MustNew(n, k int, seed uint64, opts ...Option) *Policy {
 
 // Name implements core.Policy.
 func (p *Policy) Name() string {
-	switch {
-	case p.freezeAging:
+	if p.freezeAging {
 		return fmt.Sprintf("IGD(K=%d,frozen)", p.k)
-	case p.idx != nil:
-		return fmt.Sprintf("IGD(K=%d,indexed)", p.k)
-	default:
-		return fmt.Sprintf("IGD(K=%d)", p.k)
 	}
+	return fmt.Sprintf("IGD(K=%d)", p.k)
 }
 
 // K returns the history depth.
@@ -130,54 +147,65 @@ func (p *Policy) K() int { return p.k }
 func (p *Policy) Inflation() float64 { return p.inflation }
 
 // NRef returns the reference count of a resident clip since residency.
-func (p *Policy) NRef(id media.ClipID) uint64 { return p.nref[id] }
+func (p *Policy) NRef(id media.ClipID) uint64 {
+	if s := p.slot(id); s != nil {
+		return s.nref
+	}
+	return 0
+}
 
-// Tracker exposes the underlying reference history.
+// Tracker exposes the underlying reference history, for reading: the
+// policy caches each resident's K-th reference time, so mutating the
+// tracker directly would leave those copies stale.
 func (p *Policy) Tracker() *history.Tracker { return p.tracker }
 
 // Score returns the clip's current priority
 // L(x) + nref(x)/(Δ_K(x,now)·size(x)). Clips with fewer than K references
 // have infinite Δ and contribute nothing beyond their base inflation.
 func (p *Policy) Score(c media.Clip, now vtime.Time) float64 {
-	base := p.baseL[c.ID]
-	if p.freezeAging {
-		if h, ok := p.frozen[c.ID]; ok {
-			return h
+	if s := p.slot(c.ID); s != nil {
+		if p.freezeAging {
+			return s.frozen
 		}
+		return s.score(now)
 	}
-	delta := p.tracker.BackwardKDistance(c.ID, now)
-	if math.IsInf(delta, 1) {
-		return base
-	}
-	if delta <= 0 {
-		delta = 1 // the K-th reference happened this tick; clamp to one tick
-	}
-	return base + float64(p.nref[c.ID])/(delta*p.sizeOf(c))
+	// Not resident: zero base and nref, full size.
+	s := slot{id: c.ID, size: float64(c.Size)}
+	s.kth, s.hasKth = p.tracker.KthLastTime(c.ID)
+	return s.score(now)
 }
 
-// sizeOf returns the bytes a clip occupies for ranking: its resident byte
-// total when a segmented cache reported one, the full clip size otherwise.
-func (p *Policy) sizeOf(c media.Clip) float64 {
-	if b, ok := p.eff[c.ID]; ok {
-		return float64(b)
+// slot returns clip id's slot, or nil when it has none.
+func (p *Policy) slot(id media.ClipID) *slot {
+	if int(id) >= len(p.pos) || p.pos[id] < 0 {
+		return nil
 	}
-	return float64(c.Size)
+	return &p.slots[p.pos[id]]
+}
+
+// touch re-bases a slot at the current inflation after its score inputs
+// changed; the frozen-aging ablation also re-freezes its priority.
+func (p *Policy) touch(s *slot, now vtime.Time) {
+	s.base = p.inflation
+	if p.freezeAging {
+		s.frozen = s.score(now)
+	}
 }
 
 // OnResidentBytes implements core.SegmentAware. Scores are evaluated at
 // victim-selection time, so recording the new occupancy suffices; only the
 // frozen-aging ablation refreshes its cached score.
 func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, now vtime.Time) {
+	s := p.slot(clip.ID)
+	if s == nil {
+		return
+	}
+	s.size = float64(clip.Size)
 	if resident > 0 && resident < clip.Size {
-		p.eff[clip.ID] = resident
-	} else {
-		delete(p.eff, clip.ID)
+		s.size = float64(resident)
 	}
 	if p.freezeAging {
-		if _, ok := p.frozen[clip.ID]; ok {
-			delete(p.frozen, clip.ID)
-			p.frozen[clip.ID] = p.Score(clip, now)
-		}
+		s.frozen = s.score(now)
 	}
 }
 
@@ -186,15 +214,18 @@ func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, now vtim
 // inflation.
 func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 	p.tracker.Observe(clip.ID, now)
-	if hit {
-		p.indexRemove(clip.ID, p.baseL[clip.ID])
-		p.nref[clip.ID]++
-		p.baseL[clip.ID] = p.inflation
-		if p.freezeAging {
-			delete(p.frozen, clip.ID)
-			p.frozen[clip.ID] = p.Score(clip, now)
+	s := p.slot(clip.ID)
+	switch {
+	case s != nil:
+		s.kth, s.hasKth = p.tracker.KthLastTime(clip.ID)
+		if hit {
+			s.nref++
+			p.touch(s, now)
 		}
-		p.indexInsert(clip)
+	case hit:
+		// A hit on a clip that became resident without OnInsert: its first
+		// counted reference, based at the current inflation.
+		p.adopt(clip, now)
 	}
 }
 
@@ -202,52 +233,61 @@ func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 func (p *Policy) Admit(media.Clip, vtime.Time) bool { return true }
 
 // Victims implements core.Policy: evict the resident clip with minimum
-// current score, ties broken uniformly at random; L rises to the evicted
-// score.
+// current score, ties broken uniformly at random in ascending id order; L
+// rises to the evicted score.
 func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, now vtime.Time) []media.ClipID {
-	if p.idx != nil {
-		return p.victimsIndexed(view, now)
-	}
-	var (
-		minH  float64
-		ties  []media.ClipID
-		found bool
-	)
-	for c := range view.Residents() {
-		if _, ok := p.baseL[c.ID]; !ok {
-			// Warm-inserted clip: adopt it at the current inflation.
-			p.adopt(c, now)
-		}
-		h := p.Score(c, now)
-		switch {
-		case !found || h < minH:
-			minH, ties, found = h, ties[:0], true
-			ties = append(ties, c.ID)
-		case h == minH:
-			ties = append(ties, c.ID)
+	if len(p.slots) != view.NumResident() {
+		// A clip became resident without OnInsert: adopt it at the current
+		// inflation.
+		for c := range view.Residents() {
+			if p.slot(c.ID) == nil {
+				p.adopt(c, now)
+			}
 		}
 	}
-	if !found {
+	if len(p.slots) == 0 {
 		return nil
 	}
+	var minH float64
+	ties := p.ties[:0]
+	for i := range p.slots {
+		s := &p.slots[i]
+		h := s.frozen
+		if !p.freezeAging {
+			h = s.score(now)
+		}
+		switch {
+		case i == 0 || h < minH:
+			minH = h
+			ties = append(ties[:0], s.id)
+		case h == minH:
+			ties = append(ties, s.id)
+		}
+	}
+	p.ties = ties
 	if minH > p.inflation {
 		p.inflation = minH
 	}
 	victim := ties[0]
 	if len(ties) > 1 {
+		slices.Sort(ties)
 		victim = ties[p.src.Intn(len(ties))]
 	}
-	return []media.ClipID{victim}
+	p.out = append(p.out[:0], victim)
+	return p.out
 }
 
-// adopt registers a clip that became resident without OnInsert (Warm).
+// adopt gives a newly resident clip its slot: nref 1 (the inserting
+// reference), based at the current inflation.
 func (p *Policy) adopt(c media.Clip, now vtime.Time) {
-	p.nref[c.ID] = 1
-	p.baseL[c.ID] = p.inflation
-	if p.freezeAging {
-		p.frozen[c.ID] = p.Score(c, now)
+	for int(c.ID) >= len(p.pos) {
+		p.pos = append(p.pos, -1)
 	}
-	p.indexInsert(c)
+	p.pos[c.ID] = int32(len(p.slots))
+	p.slots = append(p.slots, slot{id: c.ID, nref: 1, size: float64(c.Size)})
+	s := &p.slots[len(p.slots)-1]
+	s.kth, s.hasKth = p.tracker.KthLastTime(c.ID)
+	p.touch(s, now)
 }
 
 // OnInsert implements core.Policy: nref starts at 1 (the inserting
@@ -258,13 +298,16 @@ func (p *Policy) OnInsert(clip media.Clip, now vtime.Time) {
 
 // OnEvict implements core.Policy: the residency reference count is
 // forgotten (Section 4.2: "IGD forgets nref(x) when clip x is swapped out");
-// the K-reference history survives.
+// the K-reference history survives. The last slot moves into the freed one.
 func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
-	p.indexRemove(id, p.baseL[id])
-	delete(p.baseL, id)
-	delete(p.nref, id)
-	delete(p.eff, id)
-	delete(p.frozen, id)
+	if p.slot(id) == nil {
+		return
+	}
+	i, last := p.pos[id], len(p.slots)-1
+	p.slots[i] = p.slots[last]
+	p.pos[p.slots[i].id] = i
+	p.slots = p.slots[:last]
+	p.pos[id] = -1
 }
 
 // Reset implements core.Policy.
@@ -272,11 +315,9 @@ func (p *Policy) Reset() {
 	p.inflation = 0
 	p.tracker = history.NewTracker(p.n, p.k)
 	p.src = randutil.NewSource(p.seed)
-	p.baseL = make(map[media.ClipID]float64)
-	p.nref = make(map[media.ClipID]uint64)
-	p.eff = make(map[media.ClipID]media.Bytes)
-	p.frozen = make(map[media.ClipID]float64)
-	if p.idx != nil {
-		p.idx = newIndex()
+	p.slots = p.slots[:0]
+	p.pos = make([]int32, p.n+1)
+	for i := range p.pos {
+		p.pos[i] = -1
 	}
 }
