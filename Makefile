@@ -28,14 +28,16 @@ racecheck:
 	$(GO) test -race -count=2 ./internal/shard ./internal/obs ./cmd/cacheserver
 
 # alloccheck asserts the allocation guarantees: with no observer installed,
-# core.Cache.Request allocates nothing on the request path (an attached
-# observer adds none either), in an eviction-heavy steady state the
+# core.Cache.Request allocates nothing on hits or on cold misses (every
+# per-clip table is sized from the repository up front; an attached
+# observer adds nothing either), in an eviction-heavy steady state the
 # indexed victim-selection paths and IGD's slot scan allocate nothing per
-# Victims call, and the shard pool's published-view hit allocates nothing
-# while its Request, RequestRange and one-item RequestBatch stay within
-# fixed per-call budgets.
+# Victims call and a whole evicting Cache.Request under IGD on the
+# 20,004-clip repository allocates nothing, and the shard pool's
+# published-view hit allocates nothing while its Request, RequestRange and
+# one-item RequestBatch stay within fixed per-call budgets.
 alloccheck:
-	$(GO) test -run 'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState' -count=1 ./internal/core
+	$(GO) test -run 'TestRequestZeroAllocsNilObserver|TestRequestAllocsUnchangedWithObserver|TestVictimsZeroAllocsSteadyState|TestRequestZeroAllocsEvictingSteadyState' -count=1 ./internal/core
 	$(GO) test -run 'TestPoolRequestAllocs' -count=1 ./internal/shard
 
 # rangecheck runs the partial-content conformance surface: the HTTP Range

@@ -123,8 +123,8 @@ func (s *server) serveRefs(r *http.Request, refs []clipRef, batch bool, start ti
 			}
 			ref.latency = float64(lat)
 		}
-		s.logClip(r, ref, start)
 	}
+	s.logRefs(r, refs, start)
 }
 
 // clipResponse is a serviced reference as the GET /v1/clips/{id} body. The

@@ -9,11 +9,11 @@ package main
 // it, aggregates it and distills it back into a replayable workload spec.
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mediacache/internal/api"
@@ -22,56 +22,68 @@ import (
 // reqLogger serializes request-log entries to one NDJSON stream. Tick is a
 // process-global arrival sequence number; WallMicros and Tick are stamped
 // at log time under the same mutex that orders the writes, so ticks in the
-// file are strictly increasing.
+// file are strictly increasing. One serviced request's entries (a batch
+// logs one per item) are encoded into a reused buffer and reach the writer
+// in a single Write.
 type reqLogger struct {
 	mu     sync.Mutex
-	enc    *json.Encoder
-	tick   atomic.Int64
+	w      io.Writer
+	buf    bytes.Buffer
+	enc    *json.Encoder // encodes into buf
+	tick   int64
 	policy string
 }
 
 func newReqLogger(w io.Writer, policy string) *reqLogger {
-	return &reqLogger{enc: json.NewEncoder(w), policy: policy}
+	l := &reqLogger{w: w, policy: policy}
+	l.enc = json.NewEncoder(&l.buf)
+	return l
 }
 
-// log writes one entry, stamping tick, wall time and policy. Encoding
-// errors are swallowed: the request was already serviced, and a torn log
-// line must not fail it retroactively.
-func (l *reqLogger) log(e api.RequestLogEntry) {
+// logRefs records the serviced clip references of one request: every ref
+// serveRefs settled without an error. start is when the handler began
+// servicing, so LatencyMicros is the measured service time (the modeled
+// startup latency travels separately in ModelLatencySeconds). A ranged
+// reference logs the range the cache actually serviced (clamped to the
+// clip), so traceql's range-bias fits see the bytes handled. Encoding and
+// write errors are swallowed: the request was already serviced, and a torn
+// log line must not fail it retroactively.
+func (s *server) logRefs(r *http.Request, refs []clipRef, start time.Time) {
+	l := s.reqlog
 	if l == nil {
 		return
 	}
-	e.Tick = l.tick.Add(1)
-	e.WallMicros = time.Now().UnixMicro()
-	e.Policy = l.policy
+	client := r.Header.Get(api.ClientIDHeader)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_ = l.enc.Encode(e)
-}
-
-// logClip records one serviced clip reference. start is when the handler
-// began servicing, so LatencyMicros is the measured service time (the
-// modeled startup latency travels separately in ModelLatencySeconds). A
-// ranged reference logs the range the cache actually serviced (clamped to
-// the clip), so traceql's range-bias fits see the bytes handled.
-func (s *server) logClip(r *http.Request, ref *clipRef, start time.Time) {
-	if s.reqlog == nil {
-		return
+	l.buf.Reset()
+	for i := range refs {
+		ref := &refs[i]
+		if ref.err != nil {
+			continue
+		}
+		l.tick++
+		e := api.RequestLogEntry{
+			Tick:                l.tick,
+			WallMicros:          time.Now().UnixMicro(),
+			Client:              client,
+			Policy:              l.policy,
+			Clip:                ref.clip.ID,
+			SizeBytes:           int64(ref.clip.Size),
+			Outcome:             ref.res.Outcome.String(),
+			Hit:                 ref.res.Outcome.IsHit(),
+			Status:              ref.status,
+			LatencyMicros:       time.Since(start).Microseconds(),
+			ModelLatencySeconds: ref.latency,
+			Peer:                ref.peer,
+		}
+		if ref.ranged {
+			e.StartBytes = int64(ref.res.Range.Start)
+			e.LengthBytes = int64(ref.res.Range.Length)
+		}
+		_ = l.enc.Encode(e)
 	}
-	e := api.RequestLogEntry{
-		Client:              r.Header.Get(api.ClientIDHeader),
-		Clip:                ref.clip.ID,
-		SizeBytes:           int64(ref.clip.Size),
-		Outcome:             ref.res.Outcome.String(),
-		Hit:                 ref.res.Outcome.IsHit(),
-		Status:              ref.status,
-		LatencyMicros:       time.Since(start).Microseconds(),
-		ModelLatencySeconds: ref.latency,
-		Peer:                ref.peer,
+	if l.buf.Len() > 0 {
+		_, _ = l.w.Write(l.buf.Bytes())
 	}
-	if ref.ranged {
-		e.StartBytes = int64(ref.res.Range.Start)
-		e.LengthBytes = int64(ref.res.Range.Length)
-	}
-	s.reqlog.log(e)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,6 +109,80 @@ func TestReqLog(t *testing.T) {
 	}
 	if events[3].Client != "c2" || events[3].Clip != 7 || events[4].Clip != 3 {
 		t.Errorf("batch items mislogged: %+v / %+v", events[3], events[4])
+	}
+}
+
+// writeRecorder keeps every Write call's bytes separately.
+type writeRecorder struct {
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestReqLogOneWritePerRequest pins the reqlog's write batching: a batch
+// request's entries reach the writer in one Write, every Write holds whole
+// NDJSON lines, and under concurrent requests the ticks in the file are
+// still 1, 2, 3, ... in file order.
+func TestReqLogOneWritePerRequest(t *testing.T) {
+	rec := &writeRecorder{}
+	cfg := testConfig()
+	cfg.reqlog = rec
+	_, ts := newTestServerConfig(t, cfg)
+
+	items := make([]string, 16)
+	for i := range items {
+		items[i] = fmt.Sprintf(`{"clip":%d}`, i+1)
+	}
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"items":[`+strings.Join(items, ",")+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if len(rec.writes) != 1 || bytes.Count(rec.writes[0], []byte("\n")) != 16 {
+		t.Fatalf("16-item batch made %d writes, want one of 16 lines", len(rec.writes))
+	}
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 25 {
+				r, err := http.Get(fmt.Sprintf("%s/v1/clips/%d", ts.URL, (g*25+i)%40+1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				r.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	var file bytes.Buffer
+	for i, w := range rec.writes {
+		if len(w) == 0 || w[len(w)-1] != '\n' {
+			t.Fatalf("write %d does not end a line: %q", i, w)
+		}
+		file.Write(w)
+	}
+	events, err := trace.ReadNDJSON(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 116 || len(rec.writes) != 101 {
+		t.Fatalf("%d events in %d writes, want 116 in 101", len(events), len(rec.writes))
+	}
+	for i, e := range events {
+		if e.Tick != int64(i+1) {
+			t.Fatalf("event %d has tick %d, want %d: ticks out of file order", i, e.Tick, i+1)
+		}
 	}
 }
 

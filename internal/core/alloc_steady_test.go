@@ -10,6 +10,7 @@ package core_test
 // `make alloccheck` runs this file alongside the request-path gates.
 
 import (
+	"runtime"
 	"testing"
 
 	"mediacache/internal/core"
@@ -84,5 +85,55 @@ func TestVictimsZeroAllocsSteadyState(t *testing.T) {
 				t.Errorf("steady-state Victims allocs/op = %v, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestRequestZeroAllocsEvictingSteadyState gates the whole request path in
+// an eviction-heavy steady state: IGD on the 20,004-clip variable
+// repository at a 5% cache must service Cache.Request — hits, misses,
+// victim selection and evictions — without allocating. The trace is played
+// twice: the first pass grows IGD's slot and tie buffers to their
+// high-water marks, Reset keeps those buffers, and the identical second
+// pass is measured after the same warm-up. The count comes from
+// runtime.MemStats over the whole window rather than
+// testing.AllocsPerRun, whose integer division would read a fractional
+// per-request rate as 0.
+func TestRequestZeroAllocsEvictingSteadyState(t *testing.T) {
+	repo, err := media.VariableRepository(20004)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := core.New(repo, repo.CacheSizeForRatio(0.05), igd.MustNew(repo.N(), 2, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := workload.MustNewGenerator(zipf.MustNew(repo.N(), zipf.DefaultMean), 1)
+	trace := make([]media.ClipID, 25000)
+	for i := range trace {
+		trace[i] = gen.Next()
+	}
+	run := func(ids []media.ClipID) {
+		for _, id := range ids {
+			if _, err := cache.Request(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(trace)
+	cache.Reset()
+	warm, timed := trace[:20000], trace[20000:]
+	run(warm)
+	before := cache.Stats()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run(timed)
+	runtime.ReadMemStats(&m1)
+	if ev := cache.Stats().Evictions - before.Evictions; ev < uint64(len(timed))/10 {
+		t.Fatalf("only %d evictions in %d timed requests; measurement not eviction-heavy", ev, len(timed))
+	}
+	if allocs := m1.Mallocs - m0.Mallocs; allocs != 0 {
+		t.Errorf("evicting Request allocated %d times in %d calls (%.3f per call), want 0",
+			allocs, len(timed), float64(allocs)/float64(len(timed)))
 	}
 }

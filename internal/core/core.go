@@ -25,7 +25,6 @@ import (
 	"iter"
 
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
 )
 
@@ -85,13 +84,12 @@ type ResidentView interface {
 	Resident(id media.ClipID) bool
 	// Residents returns a range-over-func iterator over the cached clips
 	// in ascending ID order. Iteration is an allocation-free walk of the
-	// incrementally maintained resident index; breaking out early stops
-	// the walk.
+	// resident bitset; breaking out early stops the walk.
 	Residents() iter.Seq[media.Clip]
 	// ForEachResident visits the cached clips in ascending ID order until
 	// fn returns false. Unlike ResidentClips it allocates nothing: the
-	// engine maintains the resident set in an incrementally updated ordered
-	// index, so iteration is a tree walk, not a per-call sort.
+	// engine keeps the resident set as a bitset indexed by clip ID, so
+	// iteration is a word-by-word scan, not a per-call sort.
 	ForEachResident(fn func(media.Clip) bool)
 	// NumResident returns the number of cached clips.
 	NumResident() int
@@ -240,45 +238,40 @@ type Cache struct {
 	// initClock is the virtual time the cache starts (and Resets) at.
 	initClock vtime.Time
 
-	resident map[media.ClipID]struct{}
-	// byID is the incrementally maintained resident index: the same set as
-	// resident, ordered by ascending clip ID. It replaces the per-call
-	// allocate-and-sort that ResidentClips used to perform, giving policies
-	// an allocation-free iteration seam (ForEachResident) and O(log n)
-	// insert/evict maintenance instead of O(n log n) per Victims call.
-	byID *rbtree.Tree[media.ClipID, media.Clip]
-	// victimScratch is the reusable duplicate-detection set makeRoom uses to
-	// validate a victim batch before mutating residency.
-	victimScratch map[media.ClipID]struct{}
-	used          media.Bytes
-	clock         vtime.Time
-	stats         Stats
+	// resident is the resident clip set, one bit per repository id, sized
+	// once from repo.N(). Walking it word by word yields ascending ID order,
+	// the order ForEachResident, Snapshot and the TTL sweep promise.
+	resident  idSet
+	nResident int
+	// victimMarks is the reusable duplicate-detection set checkVictims
+	// marks and then unmarks, so validating a batch costs O(len(victims)).
+	victimMarks idSet
+	used        media.Bytes
+	clock       vtime.Time
+	stats       Stats
 
 	// Segment-granular residency (WithSegments). segSize == 0 means legacy
 	// whole-clip residency; none of these fields are touched on that request
 	// path, which stays allocation-free and byte-identical to earlier PRs.
-	segSize      media.Bytes               // fixed segment size, 0 = whole-clip
-	prefixSegs   int                       // WithPrefixAdmission: first N segments always admitted, evicted last
-	segFetch     SegmentFetchFunc          // WithSegmentFetch: per-segment fetch seam
-	segAware     SegmentAware              // policy's optional resident-byte notification hook
-	segs         map[media.ClipID]*segMeta // per-clip residency bitmaps, keyed by resident clip
-	residentSegs int                       // total resident segments across all clips
-	segScratch   []int32                   // reusable missing-segment buffer for the request path
+	segSize      media.Bytes      // fixed segment size, 0 = whole-clip
+	prefixSegs   int              // WithPrefixAdmission: first N segments always admitted, evicted last
+	segFetch     SegmentFetchFunc // WithSegmentFetch: per-segment fetch seam
+	segAware     SegmentAware     // policy's optional resident-byte notification hook
+	segs         []*segMeta       // per-clip residency bitmaps indexed by clip id, nil when not resident
+	residentSegs int              // total resident segments across all clips
+	segScratch   []int32          // reusable missing-segment buffer for the request path
 
 	// TTL expiry (WithTTL). ttl == 0 means no expiry: none of these fields
 	// are touched on that request path, which stays byte-identical to
-	// earlier PRs. Deadlines are absolute virtual times, one per resident
-	// clip; expiry is lazy (checked on the requested clip) plus an
-	// amortized sweep every sweepEvery ticks.
+	// earlier PRs. Deadlines are absolute virtual times indexed by clip id,
+	// meaningful only for resident clips; expiry is lazy (checked on the
+	// requested clip) plus an amortized sweep every sweepEvery ticks.
 	ttl           vtime.Duration
-	deadlines     map[media.ClipID]vtime.Time
+	deadlines     []vtime.Time
 	lastSweep     vtime.Time
 	sweepEvery    vtime.Time
 	expireScratch []media.ClipID // reusable expired-id buffer for the sweep
 }
-
-// lessClipID orders the resident index by ascending clip ID.
-func lessClipID(a, b media.ClipID) bool { return a < b }
 
 // Option configures optional engine behaviour at construction; see
 // WithAdmission and WithClock.
@@ -367,11 +360,11 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 			capacity, repo.TotalSize())
 	}
 	c := &Cache{
-		repo:     repo,
-		capacity: capacity,
-		policy:   policy,
-		resident: make(map[media.ClipID]struct{}),
-		byID:     rbtree.New[media.ClipID, media.Clip](lessClipID),
+		repo:        repo,
+		capacity:    capacity,
+		policy:      policy,
+		resident:    newIDSet(repo.N()),
+		victimMarks: newIDSet(repo.N()),
 	}
 	for _, opt := range opts {
 		if err := opt(c); err != nil {
@@ -385,11 +378,11 @@ func New(repo *media.Repository, capacity media.Bytes, policy Policy, opts ...Op
 		return nil, errors.New("core: WithSegmentFetch requires WithSegments")
 	}
 	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta)
+		c.segs = make([]*segMeta, repo.N()+1)
 		c.segAware, _ = policy.(SegmentAware)
 	}
 	if c.ttl > 0 {
-		c.deadlines = make(map[media.ClipID]vtime.Time)
+		c.deadlines = make([]vtime.Time, repo.N()+1)
 		// Sweep cadence is a pure function of the TTL so the event stream is
 		// deterministic: often enough that expired clips do not linger past
 		// a quarter TTL, capped so huge TTLs still sweep regularly.
@@ -426,30 +419,27 @@ func (c *Cache) UsedBytes() media.Bytes { return c.used }
 func (c *Cache) FreeBytes() media.Bytes { return c.capacity - c.used }
 
 // NumResident returns the number of cached clips.
-func (c *Cache) NumResident() int { return len(c.resident) }
+func (c *Cache) NumResident() int { return c.nResident }
 
 // Resident reports whether clip id is cached. Under segment-granular
 // residency a clip with any resident segment counts as resident; use
 // FullyResident or ResidentBytes for finer answers.
-func (c *Cache) Resident(id media.ClipID) bool {
-	_, ok := c.resident[id]
-	return ok
-}
+func (c *Cache) Resident(id media.ClipID) bool { return c.resident.has(id) }
 
 // ResidentBytes implements ResidentView: the number of clip id's bytes that
 // are cached. Whole-clip residency answers clip-size-or-zero; segmented
 // residency answers the byte total of the clip's resident segments.
 func (c *Cache) ResidentBytes(id media.ClipID) media.Bytes {
 	if c.segSize > 0 {
-		if sm := c.segs[id]; sm != nil {
+		if sm := c.segMetaOf(id); sm != nil {
 			return sm.resBytes
 		}
 		return 0
 	}
-	if clip, ok := c.byID.Get(id); ok {
-		return clip.Size
+	if !c.resident.has(id) {
+		return 0
 	}
-	return 0
+	return c.repo.Clip(id).Size
 }
 
 // CollectResidents copies view's resident set into a fresh slice in
@@ -477,21 +467,17 @@ func CollectResidentIDs(view ResidentView) []media.ClipID {
 
 // Residents returns a range-over-func iterator over the cached clips in
 // ascending ID order. The sequence is an allocation-free walk of the
-// resident index and may be ranged over multiple times; each range sees
+// resident bitset and may be ranged over multiple times; each range sees
 // the resident set as of that iteration.
 func (c *Cache) Residents() iter.Seq[media.Clip] {
-	return func(yield func(media.Clip) bool) {
-		c.byID.Ascend(func(_ media.ClipID, clip media.Clip) bool {
-			return yield(clip)
-		})
-	}
+	return c.ForEachResident
 }
 
 // ForEachResident visits the cached clips in ascending ID order until fn
 // returns false, without allocating.
 func (c *Cache) ForEachResident(fn func(media.Clip) bool) {
-	c.byID.Ascend(func(_ media.ClipID, clip media.Clip) bool {
-		return fn(clip)
+	c.resident.ascend(func(id media.ClipID) bool {
+		return fn(c.repo.Clip(id))
 	})
 }
 
@@ -521,7 +507,7 @@ func (c *Cache) Request(id media.ClipID) (Outcome, error) {
 		c.expireIfDue(id, now)
 	}
 
-	_, hit := c.resident[id]
+	hit := c.resident.has(id)
 	c.policy.Record(clip, now, hit)
 
 	c.stats.Requests++
@@ -576,11 +562,8 @@ func (c *Cache) Request(id media.ClipID) (Outcome, error) {
 		c.emit(EventBypass, clip, now)
 		return MissError, err
 	}
-	c.resident[id] = struct{}{}
-	c.byID.Put(id, clip)
+	c.addResident(id, c.ttl)
 	c.used += clip.Size
-	c.setDeadline(id, now)
-	c.mirrorAdd(id)
 	c.policy.OnInsert(clip, now)
 	c.emit(EventMiss, clip, now)
 	return MissCached, nil
@@ -620,8 +603,7 @@ func (c *Cache) ApplyHit(id media.ClipID) error {
 		c.maybeSweep(now)
 	}
 
-	_, hit := c.resident[id]
-	c.policy.Record(clip, now, hit)
+	c.policy.Record(clip, now, c.resident.has(id))
 
 	c.stats.Requests++
 	c.stats.BytesReferenced += clip.Size
@@ -643,26 +625,12 @@ func (c *Cache) makeRoom(clip media.Clip, now vtime.Time) error {
 		if len(victims) == 0 {
 			return fmt.Errorf("%w: need %v, free %v", ErrPolicyNoVictim, need, c.FreeBytes())
 		}
-		if c.victimScratch == nil {
-			c.victimScratch = make(map[media.ClipID]struct{}, len(victims))
-		} else {
-			clear(c.victimScratch)
-		}
-		for _, vid := range victims {
-			if _, dup := c.victimScratch[vid]; dup {
-				return fmt.Errorf("%w: duplicate id %d", ErrBadVictim, vid)
-			}
-			c.victimScratch[vid] = struct{}{}
-			if _, ok := c.resident[vid]; !ok {
-				return fmt.Errorf("%w: id %d", ErrBadVictim, vid)
-			}
+		if err := c.checkVictims(victims); err != nil {
+			return err
 		}
 		for _, vid := range victims {
 			victim := c.repo.Clip(vid)
-			delete(c.resident, vid)
-			c.byID.Delete(vid)
-			c.mirrorRemove(vid)
-			c.clearDeadline(vid)
+			c.dropResident(vid)
 			c.used -= victim.Size
 			c.stats.Evictions++
 			c.stats.BytesEvicted += victim.Size
@@ -671,6 +639,56 @@ func (c *Cache) makeRoom(clip media.Clip, now vtime.Time) error {
 		}
 	}
 	return nil
+}
+
+// checkVictims validates one victim batch before any of it is evicted:
+// every id must be resident and listed once. Out-of-range and non-resident
+// ids report the id; a repeat reports a duplicate. Ids are checked in batch
+// order, so the first offending id decides the error. The duplicate marks
+// are set and then cleared again, so a check costs O(len(victims)) however
+// large the repository.
+func (c *Cache) checkVictims(victims []media.ClipID) error {
+	var err error
+	marked := 0
+	for _, vid := range victims {
+		if !c.resident.has(vid) {
+			err = fmt.Errorf("%w: id %d", ErrBadVictim, vid)
+			break
+		}
+		if c.victimMarks.has(vid) {
+			err = fmt.Errorf("%w: duplicate id %d", ErrBadVictim, vid)
+			break
+		}
+		c.victimMarks.add(vid)
+		marked++
+	}
+	for _, vid := range victims[:marked] {
+		c.victimMarks.del(vid)
+	}
+	return err
+}
+
+// addResident makes clip id resident with the given time-to-live from the
+// current clock: the bit, the TTL deadline and the mirror publication, in
+// that order, so a lock-free reader sees residency and expiry together.
+// Byte accounting and policy notification stay with the caller.
+func (c *Cache) addResident(id media.ClipID, life vtime.Duration) {
+	c.resident.add(id)
+	c.nResident++
+	if c.ttl > 0 {
+		c.deadlines[id] = c.clock + life
+	}
+	c.mirrorAdd(id)
+}
+
+// dropResident removes clip id from the resident set and the mirror. Its
+// deadline slot is left stale: every reader checks residency first. Byte
+// accounting, segment bookkeeping and policy notification stay with the
+// caller.
+func (c *Cache) dropResident(id media.ClipID) {
+	c.resident.del(id)
+	c.nResident--
+	c.mirrorRemove(id)
 }
 
 // Warm pre-loads the given clips into the cache without counting requests,
@@ -682,10 +700,7 @@ func (c *Cache) Warm(ids []media.ClipID) {
 		if !ok || c.Resident(id) || clip.Size > c.FreeBytes() {
 			continue
 		}
-		c.resident[id] = struct{}{}
-		c.byID.Put(id, clip)
-		c.setDeadline(id, c.clock)
-		c.mirrorAdd(id)
+		c.addResident(id, c.ttl)
 		c.used += clip.Size
 		c.policy.OnInsert(clip, c.clock)
 		if c.segSize > 0 {
@@ -697,22 +712,30 @@ func (c *Cache) Warm(ids []media.ClipID) {
 // Reset clears residency, statistics and the policy state, and rewinds the
 // clock to its initial value (zero unless WithClock set one).
 func (c *Cache) Reset() {
-	c.resident = make(map[media.ClipID]struct{})
-	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
+	c.clearResidency(c.initClock)
+	c.stats = Stats{}
+	c.policy.Reset()
+}
+
+// clearResidency empties the resident set, the segment table and the
+// mirror in place and sets the clock to now — the shared first half of
+// Reset and Restore. Deadline slots go stale, as on eviction. The tables
+// keep their size, so the attached mirror's readers never see a slice
+// swapped.
+func (c *Cache) clearResidency(now vtime.Time) {
+	clear(c.resident)
+	c.nResident = 0
 	c.mirrorClear()
 	c.used = 0
-	c.clock = c.initClock
-	c.mirrorClock(c.clock)
-	c.stats = Stats{}
+	c.clock = now
+	c.mirrorClock(now)
 	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta)
+		clear(c.segs)
 		c.residentSegs = 0
 	}
 	if c.ttl > 0 {
-		c.deadlines = make(map[media.ClipID]vtime.Time)
-		c.lastSweep = c.initClock
+		c.lastSweep = now
 	}
-	c.policy.Reset()
 }
 
 // TheoreticalHitRate returns Σ f_id over resident clips for the supplied
@@ -720,14 +743,13 @@ func (c *Cache) Reset() {
 // Section 4.4.1: the probability the next request hits, given the true
 // request distribution.
 func (c *Cache) TheoreticalHitRate(pmf []float64) float64 {
-	// Sum in ascending clip-ID order: float addition is not associative,
-	// and iterating the resident map directly would make the result vary
-	// run to run with Go's randomized map order. The ordered index gives
-	// that order without allocating.
+	// Sum in ascending clip-ID order: float addition is not associative, so
+	// the order is fixed, and the resident bitset yields it without
+	// allocating.
 	// Under segment-granular residency only fully resident clips count: the
 	// next (whole-clip) request hits only when every segment is cached.
 	var sum float64
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
+	c.resident.ascend(func(id media.ClipID) bool {
 		if c.segSize > 0 && !c.FullyResident(id) {
 			return true
 		}

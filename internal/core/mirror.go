@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"mediacache/internal/media"
@@ -10,7 +9,7 @@ import (
 )
 
 // ResidencyMirror is a concurrently readable mirror of a cache's resident
-// clip set. The engine itself is single-threaded and its resident map must
+// clip set. The engine itself is single-threaded and its resident set must
 // never be read while another goroutine mutates it; a mirror gives callers
 // that hold no lock (the sharded pool's read-mostly hit path) a published
 // view they can consult without serializing on the engine.
@@ -30,29 +29,60 @@ import (
 // this clip still live at my tick?" without touching the engine (see the
 // sharded pool's fast path).
 //
-// The zero value is ready to use. All methods are safe for concurrent use.
+// The state is one atomic word per repository clip id, indexed by id and
+// sized once when an engine attaches the mirror (WithResidencyMirror). The
+// slice is never reallocated afterwards — Reset and Restore clear it in
+// place — so a reader never races a slice swap. A word holds 0 for "not
+// resident" and the encoded expiry deadline (see encodeDeadline) otherwise.
+//
+// The zero value is ready to attach; before then, and for ids outside the
+// repository, every clip reads as not resident. All methods are safe for
+// concurrent use.
 type ResidencyMirror struct {
-	set   sync.Map // media.ClipID -> vtime.Time (expiry deadline; 0 = none)
+	slots []atomic.Int64 // by clip id: 0 = absent, else encodeDeadline(deadline)
 	n     atomic.Int64
 	clock atomic.Int64 // engine virtual clock at the last published tick
 }
 
+// encodeDeadline maps a resident clip's deadline to a non-zero slot word:
+// non-negative deadlines (0 = never expires) shift up by one, and the
+// negative deadlines a restore can give an overdue clip are kept as they
+// are. decodeDeadline inverts it.
+func encodeDeadline(dl vtime.Time) int64 {
+	if dl >= 0 {
+		return int64(dl) + 1
+	}
+	return int64(dl)
+}
+
+func decodeDeadline(v int64) vtime.Time {
+	if v > 0 {
+		return vtime.Time(v - 1)
+	}
+	return vtime.Time(v)
+}
+
+// load returns clip id's slot word, 0 for ids outside the mirror.
+func (m *ResidencyMirror) load(id media.ClipID) int64 {
+	if uint(id) >= uint(len(m.slots)) {
+		return 0
+	}
+	return m.slots[id].Load()
+}
+
 // Resident reports whether clip id was resident at the last published
 // transition affecting it.
-func (m *ResidencyMirror) Resident(id media.ClipID) bool {
-	_, ok := m.set.Load(id)
-	return ok
-}
+func (m *ResidencyMirror) Resident(id media.ClipID) bool { return m.load(id) != 0 }
 
 // Deadline returns clip id's published expiry deadline and whether the clip
 // was resident at the last published transition. A zero deadline on a
 // resident clip means it never expires (TTL disabled).
 func (m *ResidencyMirror) Deadline(id media.ClipID) (vtime.Time, bool) {
-	v, ok := m.set.Load(id)
-	if !ok {
+	v := m.load(id)
+	if v == 0 {
 		return 0, false
 	}
-	return v.(vtime.Time), true
+	return decodeDeadline(v), true
 }
 
 // Clock returns the engine virtual time at the last published tick. It lags
@@ -73,35 +103,40 @@ func (m *ResidencyMirror) Len() int { return int(m.n.Load()) }
 // add publishes clip id as resident with the given expiry deadline
 // (zero = never expires).
 func (m *ResidencyMirror) add(id media.ClipID, deadline vtime.Time) {
-	if _, loaded := m.set.Swap(id, deadline); !loaded {
+	if m.slots[id].Swap(encodeDeadline(deadline)) == 0 {
 		m.n.Add(1)
 	}
 }
 
 // remove publishes clip id as no longer resident.
 func (m *ResidencyMirror) remove(id media.ClipID) {
-	if _, loaded := m.set.LoadAndDelete(id); loaded {
+	if m.slots[id].Swap(0) != 0 {
 		m.n.Add(-1)
 	}
 }
 
-// clear empties the published view.
+// clear empties the published view in place.
 func (m *ResidencyMirror) clear() {
-	m.set.Range(func(k, _ any) bool {
-		m.set.Delete(k)
-		return true
-	})
+	for i := range m.slots {
+		m.slots[i].Store(0)
+	}
 	m.n.Store(0)
 }
 
 // WithResidencyMirror attaches a mirror the engine keeps in sync with its
-// resident set. The mirror may be read concurrently with engine operation;
-// see ResidencyMirror for the exact guarantees.
+// resident set, sizing it to the repository. The mirror may be read
+// concurrently with engine operation; see ResidencyMirror for the exact
+// guarantees. A mirror serves one engine: attaching it twice is an error,
+// since resizing it could race its readers.
 func WithResidencyMirror(m *ResidencyMirror) Option {
 	return func(c *Cache) error {
 		if m == nil {
 			return errors.New("core: WithResidencyMirror mirror must not be nil")
 		}
+		if m.slots != nil {
+			return errors.New("core: WithResidencyMirror mirror is already attached to an engine")
+		}
+		m.slots = make([]atomic.Int64, c.repo.N()+1)
 		c.mirror = m
 		return nil
 	}

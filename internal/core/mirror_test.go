@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mediacache/internal/media"
+	"mediacache/internal/vtime"
 )
 
 // TestMirrorTracksResidency drives every residency transition — insert,
@@ -151,5 +152,35 @@ func TestApplyHitUnknownClip(t *testing.T) {
 	c, _ := New(smallRepo(t), 60, &fifoPolicy{})
 	if err := c.ApplyHit(9999); err == nil {
 		t.Fatal("ApplyHit on an unknown clip should fail")
+	}
+}
+
+// TestMirrorAttachesOnce pins that a mirror serves one engine: it is sized
+// when attached, and a second attachment, which would have to resize it
+// under its readers, is rejected.
+func TestMirrorAttachesOnce(t *testing.T) {
+	repo := smallRepo(t)
+	var m ResidencyMirror
+	if m.Resident(1) || m.Len() != 0 {
+		t.Fatal("unattached mirror reads a resident clip")
+	}
+	if _, err := New(repo, 60, &fifoPolicy{}, WithResidencyMirror(&m)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(repo, 60, &fifoPolicy{}, WithResidencyMirror(&m)); err == nil {
+		t.Fatal("second attachment of one mirror should fail")
+	}
+}
+
+// TestMirrorDeadlineEncoding pins the slot encoding: every deadline a
+// resident clip can carry — zero (never expires), positive, and the
+// negative one a restore at an earlier clock gives an overdue clip — maps
+// to a non-zero word and back.
+func TestMirrorDeadlineEncoding(t *testing.T) {
+	for _, dl := range []vtime.Time{0, 1, 2, 1 << 40, -1, -2, -(1 << 40)} {
+		v := encodeDeadline(dl)
+		if v == 0 || decodeDeadline(v) != dl {
+			t.Errorf("deadline %d encodes to %d, decodes to %d", dl, v, decodeDeadline(v))
+		}
 	}
 }

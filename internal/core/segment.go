@@ -163,7 +163,7 @@ func (c *Cache) FullyResident(id media.ClipID) bool {
 	if c.segSize == 0 {
 		return c.Resident(id)
 	}
-	sm := c.segs[id]
+	sm := c.segMetaOf(id)
 	return sm != nil && sm.resident == sm.nSegs
 }
 
@@ -173,7 +173,7 @@ func (c *Cache) SegmentResident(id media.ClipID, seg int32) bool {
 	if c.segSize == 0 {
 		return c.Resident(id)
 	}
-	sm := c.segs[id]
+	sm := c.segMetaOf(id)
 	return sm != nil && seg >= 0 && seg < sm.nSegs && sm.has(seg)
 }
 
@@ -185,10 +185,19 @@ func (c *Cache) ResidentSegmentsOf(id media.ClipID) int {
 		}
 		return 0
 	}
-	if sm := c.segs[id]; sm != nil {
+	if sm := c.segMetaOf(id); sm != nil {
 		return int(sm.resident)
 	}
 	return 0
+}
+
+// segMetaOf returns clip id's segment bookkeeping, nil when nothing of it
+// is resident or id lies outside the repository.
+func (c *Cache) segMetaOf(id media.ClipID) *segMeta {
+	if !c.resident.has(id) {
+		return nil
+	}
+	return c.segs[id]
 }
 
 // AppendMissingSegments appends to dst the indices of clip id's segments in
@@ -196,7 +205,7 @@ func (c *Cache) ResidentSegmentsOf(id media.ClipID) int {
 // extended slice. The shard pool uses it to probe a range under its lock
 // without allocating.
 func (c *Cache) AppendMissingSegments(dst []int32, id media.ClipID, s0, s1 int32) []int32 {
-	sm := c.segs[id]
+	sm := c.segMetaOf(id)
 	for i := s0; i <= s1; i++ {
 		if sm == nil || !sm.has(i) {
 			dst = append(dst, i)
@@ -216,11 +225,11 @@ type Extent struct {
 // resident clip yields one extent covering the whole clip; so does any
 // resident clip of a whole-clip cache.
 func (c *Cache) ResidentExtentsOf(id media.ClipID) []Extent {
-	if c.segSize == 0 {
-		if clip, ok := c.byID.Get(id); ok {
-			return []Extent{{Start: 0, Length: clip.Size}}
-		}
+	if !c.resident.has(id) {
 		return nil
+	}
+	if c.segSize == 0 {
+		return []Extent{{Start: 0, Length: c.repo.Clip(id).Size}}
 	}
 	sm := c.segs[id]
 	if sm == nil || sm.resident == 0 {
@@ -481,10 +490,7 @@ func (c *Cache) insertSegment(clip media.Clip, seg int32, now vtime.Time) error 
 	c.used += b
 	c.residentSegs++
 	if sm.resident == 1 {
-		c.resident[clip.ID] = struct{}{}
-		c.byID.Put(clip.ID, clip)
-		c.setDeadline(clip.ID, now)
-		c.mirrorAdd(clip.ID)
+		c.addResident(clip.ID, c.ttl)
 		c.policy.OnInsert(clip, now)
 	}
 	c.notifyResidentBytes(clip, sm.resBytes, now)
@@ -504,19 +510,8 @@ func (c *Cache) makeRoomSegment(incoming media.Clip, need media.Bytes, now vtime
 		if len(victims) == 0 {
 			return fmt.Errorf("%w: need %v, free %v", ErrPolicyNoVictim, shortfall, c.FreeBytes())
 		}
-		if c.victimScratch == nil {
-			c.victimScratch = make(map[media.ClipID]struct{}, len(victims))
-		} else {
-			clear(c.victimScratch)
-		}
-		for _, vid := range victims {
-			if _, dup := c.victimScratch[vid]; dup {
-				return fmt.Errorf("%w: duplicate id %d", ErrBadVictim, vid)
-			}
-			c.victimScratch[vid] = struct{}{}
-			if _, ok := c.resident[vid]; !ok {
-				return fmt.Errorf("%w: id %d", ErrBadVictim, vid)
-			}
+		if err := c.checkVictims(victims); err != nil {
+			return err
 		}
 		for _, vid := range victims {
 			if c.capacity-c.used >= need {
@@ -573,11 +568,8 @@ func (c *Cache) trimVictim(vid media.ClipID, need media.Bytes, now vtime.Time) {
 	c.stats.SegmentsEvicted += ntrim
 	c.stats.BytesEvicted += trimmed
 	if sm.resident == 0 {
-		delete(c.segs, vid)
-		delete(c.resident, vid)
-		c.byID.Delete(vid)
-		c.mirrorRemove(vid)
-		c.clearDeadline(vid)
+		c.segs[vid] = nil
+		c.dropResident(vid)
 		c.stats.Evictions++
 		c.policy.OnEvict(vid, now)
 		c.emitB(EventEviction, clip, trimmed, now)

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"mediacache/internal/media"
-	"mediacache/internal/rbtree"
 	"mediacache/internal/vtime"
 )
 
@@ -73,24 +72,24 @@ func (c *Cache) Snapshot() Snapshot {
 		SegmentSize: c.segSize,
 	}
 	if c.ttl > 0 {
-		ttls := make([]ClipTTL, 0, c.byID.Len())
-		c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
+		ttls := make([]ClipTTL, 0, c.nResident)
+		c.resident.ascend(func(id media.ClipID) bool {
 			ttls = append(ttls, ClipTTL{ID: id, Remaining: c.deadlines[id] - c.clock})
 			return true
 		})
 		s.TTLRemaining = ttls
 	}
 	if c.segSize == 0 {
-		ids := make([]media.ClipID, 0, c.byID.Len())
-		c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
+		ids := make([]media.ClipID, 0, c.nResident)
+		c.resident.ascend(func(id media.ClipID) bool {
 			ids = append(ids, id)
 			return true
 		})
 		s.ResidentIDs = ids
 		return s
 	}
-	ids := make([]media.ClipID, 0, c.byID.Len())
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
+	ids := make([]media.ClipID, 0, c.nResident)
+	c.resident.ascend(func(id media.ClipID) bool {
 		sm := c.segs[id]
 		if sm == nil || sm.resident == 0 {
 			return true
@@ -185,33 +184,12 @@ func (c *Cache) Restore(s Snapshot) error {
 			rem[ct.ID] = ct.Remaining
 		}
 	}
-	c.resident = make(map[media.ClipID]struct{}, len(s.ResidentIDs)+len(s.Partial))
-	c.byID = rbtree.New[media.ClipID, media.Clip](lessClipID)
-	c.mirrorClear()
-	c.used = 0
-	c.clock = s.Clock
-	c.mirrorClock(c.clock)
+	c.clearResidency(s.Clock)
 	c.stats = s.Stats
-	if c.segSize > 0 {
-		c.segs = make(map[media.ClipID]*segMeta, len(s.ResidentIDs)+len(s.Partial))
-		c.residentSegs = 0
-	}
-	if c.ttl > 0 {
-		// Clips whose snapshot carries a remaining TTL resume it relative to
-		// the restore clock (the cluster rebalance path depends on deadlines
-		// surviving the move); clips without one — pre-churn archives, or
-		// captures from a TTL-off cache — get a fresh TTL from the restore
-		// point, since their remaining life is unknowable.
-		c.deadlines = make(map[media.ClipID]vtime.Time, len(s.ResidentIDs)+len(s.Partial))
-		c.lastSweep = s.Clock
-	}
 	c.policy.Reset()
 	for _, id := range s.ResidentIDs {
 		clip := c.repo.Clip(id)
-		c.resident[id] = struct{}{}
-		c.byID.Put(id, clip)
-		c.restoreDeadline(id, rem)
-		c.mirrorAdd(id)
+		c.restoreResident(id, rem)
 		c.used += clip.Size
 		c.policy.OnInsert(clip, c.clock)
 		if c.segSize > 0 {
@@ -227,10 +205,7 @@ func (c *Cache) Restore(s Snapshot) error {
 			sm.resBytes += c.segmentBytes(clip, seg)
 		}
 		c.segs[ps.ID] = sm
-		c.resident[ps.ID] = struct{}{}
-		c.byID.Put(ps.ID, clip)
-		c.restoreDeadline(ps.ID, rem)
-		c.mirrorAdd(ps.ID)
+		c.restoreResident(ps.ID, rem)
 		c.used += sm.resBytes
 		c.residentSegs += int(sm.resident)
 		c.policy.OnInsert(clip, c.clock)
@@ -240,19 +215,17 @@ func (c *Cache) Restore(s Snapshot) error {
 	return nil
 }
 
-// restoreDeadline installs a restored clip's expiry deadline: the carried
-// remaining TTL when the snapshot has one, a fresh TTL otherwise. Like
-// setDeadline it must run before the mirror publication so lock-free
-// readers see residency and expiry atomically.
-func (c *Cache) restoreDeadline(id media.ClipID, rem map[media.ClipID]vtime.Duration) {
-	if c.ttl <= 0 {
-		return
-	}
+// restoreResident makes a restored clip resident. Its time-to-live is the
+// carried remaining TTL when the snapshot has one — the cluster rebalance
+// path depends on deadlines surviving the move — and a fresh TTL from the
+// restore point otherwise (pre-churn archives, or captures from a TTL-off
+// cache, whose remaining life is unknowable).
+func (c *Cache) restoreResident(id media.ClipID, rem map[media.ClipID]vtime.Duration) {
+	life := c.ttl
 	if r, ok := rem[id]; ok {
-		c.deadlines[id] = c.clock + r
-		return
+		life = r
 	}
-	c.setDeadline(id, c.clock)
+	c.addResident(id, life)
 }
 
 // WriteSnapshot serializes the snapshot with encoding/gob.

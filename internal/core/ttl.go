@@ -8,7 +8,7 @@ package core
 // BytesReferenced hold by construction under any purge/expiry schedule.
 //
 // Expiry is lazy-plus-amortized: each request checks only the clip it
-// references, and a sweep over the resident index runs every sweepEvery
+// references, and a sweep over the resident set runs every sweepEvery
 // ticks. The sweep rides the ordinary request path (Request, ApplyHit,
 // RequestRange all tick the clock), so the PR 7 lock-reduced front-end
 // needs no extra engine interaction: batched-touch drains replay through
@@ -43,26 +43,10 @@ func (c *Cache) TTL() vtime.Duration { return c.ttl }
 // DeadlineOf returns the virtual time at which resident clip id expires,
 // or zero when expiry is disabled or the clip is not resident.
 func (c *Cache) DeadlineOf(id media.ClipID) vtime.Time {
-	if c.ttl == 0 {
+	if c.ttl == 0 || !c.resident.has(id) {
 		return 0
 	}
 	return c.deadlines[id]
-}
-
-// setDeadline records the expiry deadline for a clip becoming resident at
-// time now. Must run before the mirror publication (mirrorAdd reads the
-// deadline so lock-free readers see residency and expiry atomically).
-func (c *Cache) setDeadline(id media.ClipID, now vtime.Time) {
-	if c.ttl > 0 {
-		c.deadlines[id] = now + vtime.Time(c.ttl)
-	}
-}
-
-// clearDeadline drops a clip's expiry deadline when it leaves residency.
-func (c *Cache) clearDeadline(id media.ClipID) {
-	if c.ttl > 0 {
-		delete(c.deadlines, id)
-	}
 }
 
 // Invalidate drops clip id from the cache — a catalog event (the clip
@@ -78,10 +62,10 @@ func (c *Cache) Invalidate(id media.ClipID) media.Bytes {
 
 // invalidate is the shared implementation behind Invalidate and TTL expiry.
 func (c *Cache) invalidate(id media.ClipID, now vtime.Time, expired bool) media.Bytes {
-	clip, ok := c.byID.Get(id)
-	if !ok {
+	if !c.resident.has(id) {
 		return 0
 	}
+	clip := c.repo.Clip(id)
 	freed := clip.Size
 	if c.segSize > 0 {
 		if sm := c.segs[id]; sm != nil {
@@ -90,13 +74,10 @@ func (c *Cache) invalidate(id media.ClipID, now vtime.Time, expired bool) media.
 			// the eviction counters stay untouched.
 			freed = sm.resBytes
 			c.residentSegs -= int(sm.resident)
-			delete(c.segs, id)
+			c.segs[id] = nil
 		}
 	}
-	delete(c.resident, id)
-	c.byID.Delete(id)
-	c.mirrorRemove(id)
-	c.clearDeadline(id)
+	c.dropResident(id)
 	c.used -= freed
 	c.stats.Invalidated++
 	if expired {
@@ -115,17 +96,16 @@ func (c *Cache) SweepExpired() int {
 	return c.sweepExpired(c.clock)
 }
 
-// sweepExpired walks the resident index in ascending ID order collecting
-// expired clips, then invalidates them in that order. Walking the ordered
-// index — never the deadlines map, whose iteration order is randomized —
-// keeps the OnEvict/event stream deterministic for a given request history.
+// sweepExpired walks the resident bitset in ascending ID order collecting
+// expired clips, then invalidates them in that order, so the OnEvict/event
+// stream is deterministic for a given request history.
 func (c *Cache) sweepExpired(now vtime.Time) int {
-	if c.ttl == 0 || len(c.deadlines) == 0 {
+	if c.ttl == 0 || c.nResident == 0 {
 		return 0
 	}
 	c.expireScratch = c.expireScratch[:0]
-	c.byID.Ascend(func(id media.ClipID, _ media.Clip) bool {
-		if dl, ok := c.deadlines[id]; ok && now > dl {
+	c.resident.ascend(func(id media.ClipID) bool {
+		if now > c.deadlines[id] {
 			c.expireScratch = append(c.expireScratch, id)
 		}
 		return true
@@ -148,7 +128,7 @@ func (c *Cache) maybeSweep(now vtime.Time) {
 // expireIfDue lazily expires the requested clip when its deadline has
 // passed, so a request can never hit stale content even between sweeps.
 func (c *Cache) expireIfDue(id media.ClipID, now vtime.Time) {
-	if dl, ok := c.deadlines[id]; ok && now > dl {
+	if c.resident.has(id) && now > c.deadlines[id] {
 		c.invalidate(id, now, true)
 	}
 }

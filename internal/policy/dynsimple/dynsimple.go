@@ -54,6 +54,9 @@ type Policy struct {
 	loc      map[media.ClipID]dsLoc
 	gathered []media.Clip
 	out      []media.ClipID
+	// popped holds the previous Victims call's returned victims, which
+	// left the index when popped; see victimsIndexed.
+	popped []media.Clip
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -225,4 +228,5 @@ func (p *Policy) Reset() {
 	p.loc = make(map[media.ClipID]dsLoc)
 	p.gathered = p.gathered[:0]
 	p.out = p.out[:0]
+	p.popped = p.popped[:0]
 }

@@ -139,6 +139,17 @@ func (p *Policy) popBest(now vtime.Time) (media.Clip, bool) {
 // entries are restored; returned victims were already popped, making the
 // engine's OnEvict a no-op for them.
 func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes, now vtime.Time) []media.ClipID {
+	// Victims the previous call popped leave the index at once, but a
+	// segmented engine may only trim one, or stop before reaching it, and
+	// then it stays resident without OnEvict or OnInsert. Re-index those
+	// under their current history — exactly what the adoption walk below
+	// would do for them, at the cost of the previous batch only.
+	for _, c := range p.popped {
+		if _, ok := p.loc[c.ID]; !ok && view.Resident(c.ID) {
+			p.indexClip(c)
+		}
+	}
+	p.popped = p.popped[:0]
 	if len(p.loc) != view.NumResident() {
 		// A clip became resident without OnInsert (direct warm placement):
 		// adopt it under its current history.
@@ -164,6 +175,7 @@ func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes, now vt
 		for _, c := range p.gathered {
 			p.out = append(p.out, c.ID)
 		}
+		p.popped = append(p.popped, p.gathered...)
 		if len(p.out) == 0 {
 			return nil
 		}
@@ -188,6 +200,7 @@ func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes, now vt
 	for _, c := range p.gathered[spared:] {
 		p.indexClip(c)
 	}
+	p.popped = append(p.popped, p.gathered[:spared]...)
 	if len(p.out) == 0 {
 		return nil
 	}
