@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: build test vet race racecheck alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchbuild check bench loadbench benchcmp fuzz-smoke
+.PHONY: build test vet race racecheck alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchbuild benchsmoke check bench loadbench benchcmp fuzz-smoke
 
 # Each fuzz target gets a short smoke budget; go test allows only one
 # -fuzz pattern per invocation, so targets run sequentially.
@@ -31,7 +31,7 @@ racecheck:
 # core.Cache.Request allocates nothing on hits or on cold misses (every
 # per-clip table is sized from the repository up front; an attached
 # observer adds nothing either), in an eviction-heavy steady state the
-# indexed victim-selection paths and IGD's slot scan allocate nothing per
+# indexed victim-selection paths and IGD's heap search allocate nothing per
 # Victims call and a whole evicting Cache.Request under IGD on the
 # 20,004-clip repository allocates nothing, and the shard pool's
 # published-view hit allocates nothing while its Request, RequestRange and
@@ -91,13 +91,20 @@ benchbuild:
 	cd perfbench && GOWORK=off GOFLAGS= $(GO) vet ./...
 	cd perfbench && GOWORK=off GOFLAGS= $(GO) build -o /dev/null .
 
+# benchsmoke runs each root victim-selection benchmark once, so that a
+# change that breaks one (a panic, a failed decision check in its set-up)
+# fails here rather than only under `make bench`; `go test` alone compiles
+# benchmarks but never runs them.
+benchsmoke:
+	$(GO) test -run '^$$' -bench 'IGDSelection|EvictionHeavy|IGDAging|LRUSKSelection' -benchtime=1x .
+
 # check is the tier-1 gate plus static analysis, the race detector, the
 # request-path allocation assertion, the Range-conformance surface, the
 # open-loop load smoke, the catalog-churn surface, the cooperative cluster
-# surface, the sessionized-analytics surface and the benchmark build. vet
-# and test cover every package, including internal/metrics and
-# internal/obs.
-check: build vet test race alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchbuild
+# surface, the sessionized-analytics surface, the benchmark build and the
+# selection-benchmark smoke. vet and test cover every package, including
+# internal/metrics and internal/obs.
+check: build vet test race alloccheck rangecheck loadcheck churncheck clustercheck tracecheck benchbuild benchsmoke
 
 # bench runs the full benchmark suite and archives the run as test2json
 # events (one dated file per day; reruns overwrite).

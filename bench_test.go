@@ -375,11 +375,12 @@ func BenchmarkEvictionHeavy(b *testing.B) {
 	}
 }
 
-// BenchmarkIGDSelection measures IGD's production victim path, the flat
-// slot scan, on the eviction-heavy shape: 20,004 clips at a 5% cache under
-// the standard Zipf workload. The 30,000-reference warm-up grows the
-// resident set (reported as residents, ~3,300) to about its size in the
-// evict_heavy benchmark workload's timed window.
+// BenchmarkIGDSelection measures IGD's production victim path, the
+// branch-and-bound walk of its score-at-horizon heap, on the
+// eviction-heavy shape: 20,004 clips at a 5% cache under the standard Zipf
+// workload. The 30,000-reference warm-up grows the resident set (reported
+// as residents, ~3,300) to about its size in the evict_heavy benchmark
+// workload's timed window.
 func BenchmarkIGDSelection(b *testing.B) {
 	const nClips = 20004
 	repo, err := media.VariableRepository(nClips)

@@ -48,10 +48,13 @@ type Policy struct {
 
 	// scan disables the class index and restores the original
 	// sort-per-Victims-call selection (the differential-test baseline).
-	scan     bool
-	classes  map[classKey]*rbtree.Tree[entryKey, media.Clip]
-	order    []classKey
-	loc      map[media.ClipID]dsLoc
+	scan    bool
+	classes map[classKey]*rbtree.Tree[entryKey, media.Clip]
+	order   []classKey
+	// locs packs the indexed clips' locations in no particular order;
+	// pos[id] is the index of clip id's location, or -1 when it has none.
+	locs     []dsLoc
+	pos      []int32
 	gathered []media.Clip
 	out      []media.ClipID
 	// popped holds the previous Victims call's returned victims, which
@@ -79,17 +82,11 @@ func New(n, k int, opts ...Option) (*Policy, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dynsimple: K must be positive, got %d", k)
 	}
-	p := &Policy{
-		k:       k,
-		n:       n,
-		tracker: history.NewTracker(n, k),
-		refine:  true,
-		classes: make(map[classKey]*rbtree.Tree[entryKey, media.Clip]),
-		loc:     make(map[media.ClipID]dsLoc),
-	}
+	p := &Policy{k: k, n: n, refine: true}
 	for _, o := range opts {
 		o(p)
 	}
+	p.Reset()
 	return p, nil
 }
 
@@ -225,7 +222,11 @@ func (p *Policy) Reset() {
 	p.tracker = history.NewTracker(p.n, p.k)
 	p.classes = make(map[classKey]*rbtree.Tree[entryKey, media.Clip])
 	p.order = nil
-	p.loc = make(map[media.ClipID]dsLoc)
+	p.locs = p.locs[:0]
+	p.pos = make([]int32, p.n+1)
+	for i := range p.pos {
+		p.pos[i] = -1
+	}
 	p.gathered = p.gathered[:0]
 	p.out = p.out[:0]
 	p.popped = p.popped[:0]

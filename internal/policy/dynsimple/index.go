@@ -54,6 +54,21 @@ type dsLoc struct {
 	key   entryKey
 }
 
+// isIndexed reports whether clip id is in the class index.
+func (p *Policy) isIndexed(id media.ClipID) bool {
+	return int(id) < len(p.pos) && p.pos[id] >= 0
+}
+
+// dropLoc forgets clip id's location; the last location moves into its
+// place.
+func (p *Policy) dropLoc(id media.ClipID) {
+	i, last := p.pos[id], len(p.locs)-1
+	p.locs[i] = p.locs[last]
+	p.pos[p.locs[i].key.id] = i
+	p.locs = p.locs[:last]
+	p.pos[id] = -1
+}
+
 // indexClip inserts a resident clip into its current class tree.
 func (p *Policy) indexClip(clip media.Clip) {
 	count := p.tracker.Tracked(clip.ID)
@@ -78,17 +93,21 @@ func (p *Policy) indexClip(clip media.Clip) {
 	}
 	key := entryKey{oldest: oldest, id: clip.ID}
 	tree.Put(key, clip)
-	p.loc[clip.ID] = dsLoc{class: ck, key: key}
+	for int(clip.ID) >= len(p.pos) {
+		p.pos = append(p.pos, -1)
+	}
+	p.pos[clip.ID] = int32(len(p.locs))
+	p.locs = append(p.locs, dsLoc{class: ck, key: key})
 }
 
 // unindexClip removes a resident clip from its class tree, if indexed.
 func (p *Policy) unindexClip(id media.ClipID) bool {
-	loc, ok := p.loc[id]
-	if !ok {
+	if !p.isIndexed(id) {
 		return false
 	}
+	loc := p.locs[p.pos[id]]
 	p.classes[loc.class].Delete(loc.key)
-	delete(p.loc, id)
+	p.dropLoc(id)
 	return true
 }
 
@@ -128,7 +147,7 @@ func (p *Policy) popBest(now vtime.Time) (media.Clip, bool) {
 		return media.Clip{}, false
 	}
 	p.classes[bestCK].Delete(bestEK)
-	delete(p.loc, best.ID)
+	p.dropLoc(best.ID)
 	return best, true
 }
 
@@ -145,16 +164,16 @@ func (p *Policy) victimsIndexed(view core.ResidentView, need media.Bytes, now vt
 	// under their current history — exactly what the adoption walk below
 	// would do for them, at the cost of the previous batch only.
 	for _, c := range p.popped {
-		if _, ok := p.loc[c.ID]; !ok && view.Resident(c.ID) {
+		if !p.isIndexed(c.ID) && view.Resident(c.ID) {
 			p.indexClip(c)
 		}
 	}
 	p.popped = p.popped[:0]
-	if len(p.loc) != view.NumResident() {
+	if len(p.locs) != view.NumResident() {
 		// A clip became resident without OnInsert (direct warm placement):
 		// adopt it under its current history.
 		view.ForEachResident(func(c media.Clip) bool {
-			if _, ok := p.loc[c.ID]; !ok {
+			if !p.isIndexed(c.ID) {
 				p.indexClip(c)
 			}
 			return true

@@ -18,7 +18,7 @@ import (
 
 // reference is IGD kept in per-clip maps, selecting victims by scoring the
 // resident view in ascending id order. It is the differential oracle for
-// the production slot scan: the two must agree on every decision,
+// the production heap search: the two must agree on every decision,
 // including which of several exact ties the seeded draw picks.
 type reference struct {
 	k, n        int
@@ -256,7 +256,7 @@ func (w *twin) evictions() int {
 	return n
 }
 
-// TestIndexedEquivalence: the production slot scan reproduces the reference
+// TestIndexedEquivalence: the production heap search reproduces the reference
 // view-ordered scan exactly — outcomes, victim order, seeded tie-breaks,
 // inflation — on both paper repository shapes and on the 20,004-clip
 // eviction-heavy shape.
@@ -420,6 +420,61 @@ func TestIndexedEquivalenceAdoption(t *testing.T) {
 		}
 	}
 	sameScores(t, "after hits", prod, ref, host, now)
+}
+
+// TestIndexedEquivalenceIdleGaps drives the production policy and the
+// reference directly, without an engine's one-tick clock, through a Zipf
+// trace whose references are separated now and then by idle gaps longer
+// than the horizon span. Every selection after a gap starts from keys
+// evaluated at a horizon now in the past.
+func TestIndexedEquivalenceIdleGaps(t *testing.T) {
+	for _, frozen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) {
+			repo := media.PaperRepository()
+			var opts []Option
+			if frozen {
+				opts = append(opts, FrozenAging())
+			}
+			prod, ref := MustNew(repo.N(), 2, 6, opts...), newReference(repo.N(), 2, 6, frozen)
+			view := newResidentSet(repo, repo.CacheSizeForRatio(0.05))
+			gen := workload.MustNewGenerator(zipf.MustNew(repo.N(), zipf.DefaultMean), 6)
+			gaps := randutil.NewSource(6)
+			now := vtime.Time(0)
+			evictions := 0
+			for i := range 5000 {
+				now++
+				if gaps.Intn(16) == 0 {
+					now += span + 1 + vtime.Time(gaps.Intn(2*span))
+				}
+				c := repo.Clip(gen.Next())
+				hit := view.Resident(c.ID)
+				prod.Record(c, now, hit)
+				ref.Record(c, now, hit)
+				if hit || c.Size > view.Capacity() {
+					continue
+				}
+				for view.FreeBytes() < c.Size {
+					need := c.Size - view.FreeBytes()
+					a, b := prod.Victims(c, view, need, now), ref.Victims(c, view, need, now)
+					if !reflect.DeepEqual(a, b) || prod.Inflation() != ref.inflation {
+						t.Fatalf("step %d at %d: production %v (L=%v), reference %v (L=%v)",
+							i, now, a, prod.Inflation(), b, ref.inflation)
+					}
+					view.remove(a[0])
+					prod.OnEvict(a[0], now)
+					ref.OnEvict(a[0], now)
+					evictions++
+				}
+				view.add(c)
+				prod.OnInsert(c, now)
+				ref.OnInsert(c, now)
+			}
+			sameScores(t, "end", prod, ref, view, now+span)
+			if evictions == 0 {
+				t.Fatal("no evictions; check vacuous")
+			}
+		})
+	}
 }
 
 func TestIndexedEquivalenceProperty(t *testing.T) {

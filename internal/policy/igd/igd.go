@@ -16,19 +16,29 @@
 // its Δ grow and its priority sink, so IGD "forgets" stale popularity —
 // the property that makes it adapt where GreedyDual-Freq cannot (Figure 7).
 //
-// Because priorities drift with time, victim selection scans the resident
-// set (O(n), n = resident clips; the paper's Section 5 leaves tree-based
-// structures as future work). The scan runs over packed per-resident slots
-// holding every input of the score, so it is one sequential pass over a
-// contiguous array. An ordered index cannot prune it: every base L(x) is at
-// most the inflation L, and the winning score is usually at least L, so a
-// branch-and-bound walk in base order visits nearly every resident anyway.
-// The global inflation L rises to each evicted priority exactly as in
-// GreedyDual.
+// Because priorities drift with time, no static order of the resident set
+// ranks them (the paper's Section 5 leaves tree-based structures as future
+// work). An index ordered by base L(x) cannot prune: every base is at most
+// the inflation L, and the winning score is usually at least L, so a
+// branch-and-bound walk in base order visits nearly every resident.
+//
+// A score only falls as time passes: Δ_K grows, and every floating-point
+// step of the score is monotone in it. So each resident's score at a time
+// horizon T_h is a lower bound on its score at every now ≤ T_h, and that
+// bound stays tight while T_h is near. The resident slots form a binary
+// min-heap keyed by that bound (the frozen-aging ablation keys by its
+// frozen priority itself). Victims walks the heap from the root and skips
+// every subtree whose key is strictly greater than the running minimum, so
+// the walk is exact and still collects every tie. When now passes T_h,
+// Victims moves the horizon span ticks ahead and rebuilds the heap in O(n),
+// amortised over those ticks; every change to a score input re-sifts that
+// slot. The global inflation L rises to each evicted priority exactly as
+// in GreedyDual.
 package igd
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mediacache/internal/core"
@@ -41,6 +51,14 @@ import (
 // DefaultK is the history depth used by the paper's experiments (same
 // tracker depth as DYNSimple's default).
 const DefaultK = 2
+
+// span is how far ahead of now Victims sets the horizon when it rebuilds
+// the heap. A longer span rebuilds less often but loosens every key. On
+// the 20,004-clip 5% Zipf trace (~4,100 residents, TestPruneRate) a call
+// evaluates ~2.5, ~6, ~19 and ~63 scores at spans 64, 256, 1024 and 4096;
+// BenchmarkIGDSelection is fastest at 1024, where the O(n) rebuild every
+// 1024 ticks and the walk cost about the same.
+const span = 1024
 
 // slot holds one resident clip's score inputs.
 type slot struct {
@@ -57,6 +75,10 @@ type slot struct {
 	hasKth bool
 	// frozen is the touch-time priority of the FrozenAging ablation.
 	frozen float64
+	// lb is the slot's heap key: its score at the policy's horizon, a
+	// lower bound on its score at any time up to the horizon (frozen under
+	// the FrozenAging ablation).
+	lb float64
 }
 
 // score returns the slot's priority L(x) + nref(x)/(Δ_K(x,now)·size(x)).
@@ -82,17 +104,23 @@ type Policy struct {
 	src     *randutil.Source
 
 	inflation float64
-	// slots packs the resident clips in no particular order; pos[id] is the
-	// index of clip id's slot, or -1 when it has none.
+	// slots is a binary min-heap of the resident clips ordered by lb;
+	// pos[id] is the index of clip id's slot, or -1 when it has none.
 	slots []slot
 	pos   []int32
+	// horizon is the time every lb is evaluated at; Victims rebuilds the
+	// heap once now passes it.
+	horizon vtime.Time
+	// evals counts the scores Victims evaluated, for the prune-rate test.
+	evals int
 
 	// freezeAging disables selection-time Δ evaluation and freezes the
 	// priority at touch time instead — the BenchmarkIGDAging ablation.
 	freezeAging bool
 
-	ties []media.ClipID // Victims' reusable tie buffer
-	out  []media.ClipID // Victims' reusable result
+	ties  []media.ClipID // Victims' reusable tie buffer
+	out   []media.ClipID // Victims' reusable result
+	stack []int32        // Victims' reusable walk stack
 }
 
 var _ core.Policy = (*Policy)(nil)
@@ -192,9 +220,88 @@ func (p *Policy) touch(s *slot, now vtime.Time) {
 	}
 }
 
-// OnResidentBytes implements core.SegmentAware. Scores are evaluated at
-// victim-selection time, so recording the new occupancy suffices; only the
-// frozen-aging ablation refreshes its cached score.
+// key returns the heap key of s: its score at the horizon, or its frozen
+// priority under the ablation.
+func (p *Policy) key(s *slot) float64 {
+	if p.freezeAging {
+		return s.frozen
+	}
+	return s.score(p.horizon)
+}
+
+// rekey recomputes the key of the slot at heap index i after one of its
+// score inputs changed and restores heap order.
+func (p *Policy) rekey(i int32) {
+	p.slots[i].lb = p.key(&p.slots[i])
+	p.fix(i)
+}
+
+// fix restores heap order around the slot at index i.
+func (p *Policy) fix(i int32) {
+	if p.siftUp(i) == i {
+		p.siftDown(i)
+	}
+}
+
+// siftUp moves the slot at index i towards the root until its parent's key
+// is no greater, and returns its final index.
+func (p *Policy) siftUp(i int32) int32 {
+	s := p.slots[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if p.slots[parent].lb <= s.lb {
+			break
+		}
+		p.place(i, p.slots[parent])
+		i = parent
+	}
+	p.place(i, s)
+	return i
+}
+
+// siftDown moves the slot at index i towards the leaves until no child's
+// key is smaller.
+func (p *Policy) siftDown(i int32) {
+	n := int32(len(p.slots))
+	s := p.slots[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && p.slots[r].lb < p.slots[c].lb {
+			c = r
+		}
+		if s.lb <= p.slots[c].lb {
+			break
+		}
+		p.place(i, p.slots[c])
+		i = c
+	}
+	p.place(i, s)
+}
+
+// place stores s at heap index i.
+func (p *Policy) place(i int32, s slot) {
+	p.slots[i] = s
+	p.pos[s.id] = i
+}
+
+// rebuild moves the horizon span ticks past now, recomputes every key and
+// re-heapifies.
+func (p *Policy) rebuild(now vtime.Time) {
+	p.horizon = now + span
+	for i := range p.slots {
+		p.slots[i].lb = p.key(&p.slots[i])
+	}
+	for i := int32(len(p.slots))/2 - 1; i >= 0; i-- {
+		p.siftDown(i)
+	}
+}
+
+// OnResidentBytes implements core.SegmentAware: the slot records the new
+// occupancy and is re-keyed, since a larger size lowers its score; the
+// frozen-aging ablation also refreshes its cached score.
 func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, now vtime.Time) {
 	s := p.slot(clip.ID)
 	if s == nil {
@@ -207,6 +314,7 @@ func (p *Policy) OnResidentBytes(clip media.Clip, resident media.Bytes, now vtim
 	if p.freezeAging {
 		s.frozen = s.score(now)
 	}
+	p.rekey(p.pos[clip.ID])
 }
 
 // Record implements core.Policy: every reference updates the history; a hit
@@ -222,6 +330,7 @@ func (p *Policy) Record(clip media.Clip, now vtime.Time, hit bool) {
 			s.nref++
 			p.touch(s, now)
 		}
+		p.rekey(p.pos[clip.ID])
 	case hit:
 		// A hit on a clip that became resident without OnInsert: its first
 		// counted reference, based at the current inflation.
@@ -248,23 +357,41 @@ func (p *Policy) Victims(_ media.Clip, view core.ResidentView, _ media.Bytes, no
 	if len(p.slots) == 0 {
 		return nil
 	}
-	var minH float64
+	if !p.freezeAging && now > p.horizon {
+		p.rebuild(now)
+	}
+	// Branch and bound: a subtree whose root key exceeds the running
+	// minimum holds no score at or below it. Equal keys are still walked,
+	// so every exact tie is collected.
+	minH := math.Inf(1)
 	ties := p.ties[:0]
-	for i := range p.slots {
+	stack := append(p.stack[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		s := &p.slots[i]
+		if s.lb > minH {
+			continue
+		}
 		h := s.frozen
 		if !p.freezeAging {
 			h = s.score(now)
 		}
+		p.evals++
 		switch {
-		case i == 0 || h < minH:
+		case h < minH:
 			minH = h
 			ties = append(ties[:0], s.id)
 		case h == minH:
 			ties = append(ties, s.id)
 		}
+		for c := 2*i + 1; c <= 2*i+2 && c < int32(len(p.slots)); c++ {
+			if p.slots[c].lb <= minH {
+				stack = append(stack, c)
+			}
+		}
 	}
-	p.ties = ties
+	p.ties, p.stack = ties, stack
 	if minH > p.inflation {
 		p.inflation = minH
 	}
@@ -283,11 +410,13 @@ func (p *Policy) adopt(c media.Clip, now vtime.Time) {
 	for int(c.ID) >= len(p.pos) {
 		p.pos = append(p.pos, -1)
 	}
-	p.pos[c.ID] = int32(len(p.slots))
+	i := int32(len(p.slots))
+	p.pos[c.ID] = i
 	p.slots = append(p.slots, slot{id: c.ID, nref: 1, size: float64(c.Size)})
-	s := &p.slots[len(p.slots)-1]
+	s := &p.slots[i]
 	s.kth, s.hasKth = p.tracker.KthLastTime(c.ID)
 	p.touch(s, now)
+	p.rekey(i)
 }
 
 // OnInsert implements core.Policy: nref starts at 1 (the inserting
@@ -298,21 +427,26 @@ func (p *Policy) OnInsert(clip media.Clip, now vtime.Time) {
 
 // OnEvict implements core.Policy: the residency reference count is
 // forgotten (Section 4.2: "IGD forgets nref(x) when clip x is swapped out");
-// the K-reference history survives. The last slot moves into the freed one.
+// the K-reference history survives. The last heap slot moves into the freed
+// one and is re-sifted.
 func (p *Policy) OnEvict(id media.ClipID, _ vtime.Time) {
 	if p.slot(id) == nil {
 		return
 	}
-	i, last := p.pos[id], len(p.slots)-1
-	p.slots[i] = p.slots[last]
-	p.pos[p.slots[i].id] = i
+	i, last := p.pos[id], int32(len(p.slots)-1)
+	moved := p.slots[last]
 	p.slots = p.slots[:last]
 	p.pos[id] = -1
+	if i != last {
+		p.place(i, moved)
+		p.fix(i)
+	}
 }
 
 // Reset implements core.Policy.
 func (p *Policy) Reset() {
 	p.inflation = 0
+	p.horizon = 0
 	p.tracker = history.NewTracker(p.n, p.k)
 	p.src = randutil.NewSource(p.seed)
 	p.slots = p.slots[:0]

@@ -35,9 +35,12 @@ type skIndex struct {
 	// partial holds resident clips with incomplete history, one tree per
 	// size class ordered by (t_last, id).
 	partial map[media.Bytes]*rbtree.Tree[partialKey, media.ClipID]
-	// resident records where each resident clip currently lives so that
-	// re-keying on reference and removal on eviction are O(log n).
-	resident map[media.ClipID]location
+	// locs records where each resident clip currently lives so that
+	// re-keying on reference and removal on eviction are O(log n). It is
+	// packed in no particular order; pos[id] is the index of clip id's
+	// location, or -1 when it has none.
+	locs []location
+	pos  []int32
 	// sizesDesc caches the distinct resident size classes in descending
 	// order (rebuilt lazily when classes appear).
 	sizesDesc []media.Bytes
@@ -76,6 +79,7 @@ func lessPartial(a, b partialKey) bool {
 
 // location records a resident clip's tree and key.
 type location struct {
+	id     media.ClipID
 	size   media.Bytes
 	isFull bool
 	fk     fullKey
@@ -84,12 +88,9 @@ type location struct {
 
 // newSKIndex returns an empty index deriving keys from tracker.
 func newSKIndex(tracker *history.Tracker) *skIndex {
-	return &skIndex{
-		tracker:  tracker,
-		full:     make(map[media.Bytes]*rbtree.Tree[fullKey, media.ClipID]),
-		partial:  make(map[media.Bytes]*rbtree.Tree[partialKey, media.ClipID]),
-		resident: make(map[media.ClipID]location),
-	}
+	x := &skIndex{}
+	x.reset(tracker)
+	return x
 }
 
 // reset empties the index and re-binds it to tracker.
@@ -97,17 +98,38 @@ func (x *skIndex) reset(tracker *history.Tracker) {
 	x.tracker = tracker
 	x.full = make(map[media.Bytes]*rbtree.Tree[fullKey, media.ClipID])
 	x.partial = make(map[media.Bytes]*rbtree.Tree[partialKey, media.ClipID])
-	x.resident = make(map[media.ClipID]location)
+	x.locs = x.locs[:0]
+	x.pos = make([]int32, tracker.N()+1)
+	for i := range x.pos {
+		x.pos[i] = -1
+	}
 	x.sizesDesc = nil
 }
 
 // len returns the number of indexed resident clips.
-func (x *skIndex) len() int { return len(x.resident) }
+func (x *skIndex) len() int { return len(x.locs) }
 
 // has reports whether clip id is indexed.
 func (x *skIndex) has(id media.ClipID) bool {
-	_, ok := x.resident[id]
-	return ok
+	return int(id) < len(x.pos) && x.pos[id] >= 0
+}
+
+// place records a newly indexed clip's location.
+func (x *skIndex) place(loc location) {
+	for int(loc.id) >= len(x.pos) {
+		x.pos = append(x.pos, -1)
+	}
+	x.pos[loc.id] = int32(len(x.locs))
+	x.locs = append(x.locs, loc)
+}
+
+// forget drops clip id's location; the last location moves into its place.
+func (x *skIndex) forget(id media.ClipID) {
+	i, last := x.pos[id], len(x.locs)-1
+	x.locs[i] = x.locs[last]
+	x.pos[x.locs[i].id] = i
+	x.locs = x.locs[:last]
+	x.pos[id] = -1
 }
 
 // classFor returns (creating if needed) the trees for a size class.
@@ -130,27 +152,27 @@ func (x *skIndex) index(clip media.Clip) {
 	if kth, ok := x.tracker.KthLastTime(clip.ID); ok {
 		key := fullKey{kth: kth, last: last, id: clip.ID}
 		f.Put(key, clip.ID)
-		x.resident[clip.ID] = location{size: clip.Size, isFull: true, fk: key}
+		x.place(location{id: clip.ID, size: clip.Size, isFull: true, fk: key})
 		return
 	}
 	key := partialKey{last: last, id: clip.ID}
 	pt.Put(key, clip.ID)
-	x.resident[clip.ID] = location{size: clip.Size, pk: key}
+	x.place(location{id: clip.ID, size: clip.Size, pk: key})
 }
 
 // unindex removes a resident clip from its tree, reporting whether it was
 // indexed.
 func (x *skIndex) unindex(id media.ClipID) (location, bool) {
-	loc, ok := x.resident[id]
-	if !ok {
+	if !x.has(id) {
 		return location{}, false
 	}
+	loc := x.locs[x.pos[id]]
 	if loc.isFull {
 		x.full[loc.size].Delete(loc.fk)
 	} else {
 		x.partial[loc.size].Delete(loc.pk)
 	}
-	delete(x.resident, id)
+	x.forget(id)
 	return loc, true
 }
 
@@ -165,7 +187,7 @@ func (x *skIndex) popBest(now vtime.Time) (media.ClipID, media.Bytes, bool) {
 		}
 		key, id, _ := pt.Min()
 		pt.Delete(key)
-		delete(x.resident, id)
+		x.forget(id)
 		return id, size, true
 	}
 	// Otherwise compare one complete-history candidate per class.
@@ -202,6 +224,6 @@ func (x *skIndex) popBest(now vtime.Time) (media.ClipID, media.Bytes, bool) {
 		return 0, 0, false
 	}
 	x.full[bestSize].Delete(bestKey)
-	delete(x.resident, bestID)
+	x.forget(bestID)
 	return bestID, bestSize, true
 }
